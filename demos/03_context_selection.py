@@ -33,7 +33,7 @@ panel = synth_generate(
 corr = pearson_matrix(panel)
 print("corr(0, 3) =", round(corr.weights[0, 3], 3), " (driver vs driven)")
 
-tree = cst_matrix(panel)
+tree = cst_matrix(corr)
 edges = [(i, j) for i in range(n) for j in range(i + 1, n) if tree.weights[i, j] > 0]
 print("spanning tree edges:", edges)
 

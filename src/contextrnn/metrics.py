@@ -35,16 +35,25 @@ def rse(predicted, actual) -> float:
 
 
 def corr_with_skips(predicted, actual) -> tuple[float, int]:
-    """Mean per-series Pearson correlation and the count of skipped series."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
-    if predicted.shape != actual.shape or predicted.ndim != 2:
-        raise DataError("need equally shaped (series, cells) matrices")
+    """Mean per-series Pearson correlation and the count of skipped series.
+
+    Both inputs hold one row of cells per series: equally shaped (series,
+    cells) matrices, or sequences of 1-D rows whose lengths may differ from
+    series to series.
+    """
+    try:
+        rows = list(zip(predicted, actual, strict=True))
+    except (TypeError, ValueError):
+        raise DataError("need one row of cells per series in both inputs") from None
     values = []
     skipped = 0
-    for i in range(actual.shape[0]):
-        a = actual[i] - actual[i].mean()
-        p = predicted[i] - predicted[i].mean()
+    for p, a in rows:
+        p = np.asarray(p, dtype=np.float64)
+        a = np.asarray(a, dtype=np.float64)
+        if p.shape != a.shape or p.ndim != 1:
+            raise DataError("need equally shaped (series, cells) rows")
+        a = a - a.mean()
+        p = p - p.mean()
         denom = math.sqrt(float(a @ a) * float(p @ p))
         if denom == 0.0:
             skipped += 1
@@ -100,7 +109,9 @@ def forecast_matrices(params: ModelParams, panel: SeriesPanel, emit_from: int, s
     """Rolling medians vs actuals: (predicted, actual) of shape (series, anchors, fh).
 
     Only anchors whose full output window is observed for a series
-    contribute that series' row; evaluation runs in original units.
+    contribute to that series' row, so rows can differ in length; a row
+    shorter than the longest is padded at its end with NaN windows.
+    Evaluation runs in original units.
     """
     cfg = params.config
     series = list(range(panel.n)) if series is None else list(series)
@@ -118,29 +129,57 @@ def forecast_matrices(params: ModelParams, panel: SeriesPanel, emit_from: int, s
             pred.append(got[0])
             act.append(panel.values[sid, t : t + cfg.horizon] - panel.shift)
         if pred:
-            pred_rows.append(np.stack(pred))
-            act_rows.append(np.stack(act))
+            pred_rows.append(pred)
+            act_rows.append(act)
     if not pred_rows:
         raise DataError("no evaluable series")
-    return np.stack(pred_rows), np.stack(act_rows)
+    return _padded(pred_rows, cfg.horizon), _padded(act_rows, cfg.horizon)
+
+
+def _padded(rows, horizon: int) -> np.ndarray:
+    """Per-series lists of forecast windows as one (series, anchors, fh) array, NaN past a row's end."""
+    out = np.full((len(rows), max(len(row) for row in rows), horizon), np.nan)
+    for k, row in enumerate(rows):
+        out[k, : len(row)] = row
+    return out
+
+
+def _scored(matrix: np.ndarray, scored: np.ndarray) -> np.ndarray:
+    """The scored cells of a padded forecast matrix.
+
+    Without padding that is the matrix itself, so a fully observed panel
+    keeps the summation order, and the report bytes, of an unpadded one.
+    """
+    return matrix if scored.all() else matrix[scored]
 
 
 def evaluate(params: ModelParams, panel: SeriesPanel, test_start: int, series=None, config_echo=None) -> EvalReport:
-    """Rolling evaluation over every grid anchor at or past ``test_start``."""
+    """Rolling evaluation over every grid anchor at or past ``test_start``.
+
+    RSE is taken over all scored cells; CORR, overall and per horizon, over
+    each series' own scored cells.
+    """
     start = time.perf_counter()
     predicted, actual = forecast_matrices(params, panel, max(test_start, params.config.first_anchor), series)
     n_series, n_anchors, fh = predicted.shape
-    overall_rse = rse(predicted, actual)
+    scored = ~np.isnan(actual)
+
+    def rows(matrix, keep):
+        return [_scored(row, k) for row, k in zip(matrix, keep)]
+
+    overall_rse = rse(_scored(predicted, scored), _scored(actual, scored))
+    flat = scored.reshape(n_series, -1)
     overall_corr, skipped = corr_with_skips(
-        predicted.reshape(n_series, -1), actual.reshape(n_series, -1)
+        rows(predicted.reshape(n_series, -1), flat), rows(actual.reshape(n_series, -1), flat)
     )
     per_horizon = {}
     for h in range(fh):
+        keep = scored[:, :, h]
         try:
-            h_corr, _ = corr_with_skips(predicted[:, :, h], actual[:, :, h])
+            h_corr, _ = corr_with_skips(rows(predicted[:, :, h], keep), rows(actual[:, :, h], keep))
         except DataError:
             h_corr = math.nan
-        per_horizon[h + 1] = (rse(predicted[:, :, h], actual[:, :, h]), h_corr)
+        per_horizon[h + 1] = (rse(_scored(predicted[:, :, h], keep), _scored(actual[:, :, h], keep)), h_corr)
     return EvalReport(
         rse=overall_rse,
         corr=overall_corr,

@@ -7,7 +7,12 @@ and the S lowest p-values win. This keeps the number of Granger tests at
 N·ceil(1.5·S) instead of N².
 
 All estimators use pairwise-complete observations and fixed tie rules, so
-the whole pipeline is deterministic given the panel.
+the whole pipeline is deterministic given the panel. Pearson and MI score
+every pair with array arithmetic, at O(n²·T) cost in BLAS products and
+``bincount`` rather than one Python call per pair: Pearson as masked
+matrix products, MI by counting equal-width bin codes, one ``bincount`` per
+target row. The spanning tree is built from the Pearson matrix, so a
+selection computes Pearson once.
 """
 
 from __future__ import annotations
@@ -82,41 +87,96 @@ class GrangerResult:
     tests_performed: int
 
 
-def _joint(panel: SeriesPanel, i: int, j: int):
-    keep = panel.mask[i] & panel.mask[j]
-    return panel.values[i, keep], panel.values[j, keep]
+def _joint_counts(panel: SeriesPanel, least: int) -> np.ndarray:
+    """Cells observed by both series, per pair, as an n×n float matrix.
+
+    Raises DataError naming the first pair (i, j >= i), in row order, that
+    shares fewer than ``least`` cells.
+    """
+    observed = panel.mask.astype(np.float64)
+    counts = observed @ observed.T
+    short = np.argwhere(np.triu(counts < least))
+    if short.size:
+        i, j = short[0]
+        raise DataError(f"series pair ({i}, {j}) has {int(counts[i, j])} joint points, need >= {least}")
+    return counts
+
+
+def _first_shared(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """For every series, the position in ``cells`` of the first cell it observes.
+
+    Scans ``cells`` in blocks that grow fourfold, so a series that observes
+    one of the first cells costs one short block. A series observing none
+    of them gets 0.
+    """
+    first = np.zeros(mask.shape[0], dtype=np.intp)
+    todo = np.arange(mask.shape[0])
+    start, size = 0, 8
+    while todo.size and start < cells.size:
+        block = mask[todo[:, None], cells[start : start + size]]
+        hit = block.any(axis=1)
+        first[todo[hit]] = start + block[hit].argmax(axis=1)
+        todo = todo[~hit]
+        start, size = start + size, 4 * size
+    return first
+
+
+def _joint_extremes(panel: SeriesPanel):
+    """lo[i, j] and hi[i, j]: the least and greatest value of series i on the cells j observes too.
+
+    Each series' observed cells are ranked once; the first of them that j
+    observes, from either end, holds the joint minimum or maximum. Every
+    pair needs a joint cell (check with ``_joint_counts`` first).
+    """
+    n = panel.n
+    lo, hi = np.empty((n, n)), np.empty((n, n))
+    for i in range(n):
+        cells = np.flatnonzero(panel.mask[i])
+        ranked = cells[np.argsort(panel.values[i, cells], kind="stable")]
+        lo[i] = panel.values[i, ranked[_first_shared(panel.mask, ranked)]]
+        hi[i] = panel.values[i, ranked[::-1][_first_shared(panel.mask, ranked[::-1])]]
+    return lo, hi
+
+
+def _varies(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Pairs on whose joint cells neither series is constant."""
+    varies = lo < hi
+    return varies & varies.T
 
 
 def pearson_matrix(panel: SeriesPanel) -> AdjacencyMatrix:
-    """Pairwise-complete Pearson coefficients; zero-variance series score 0."""
-    n = panel.n
-    weights = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            x, y = _joint(panel, i, j)
-            if x.size < MIN_PAIR_OBS_CORR:
-                raise DataError(f"series pair ({i}, {j}) has {x.size} joint points, need >= 3")
-            xc, yc = x - x.mean(), y - y.mean()
-            denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
-            r = 0.0 if denom == 0.0 else float(xc @ yc) / denom
-            weights[i, j] = weights[j, i] = r
-    return AdjacencyMatrix(n, weights, "CM")
+    """Pairwise-complete Pearson coefficients; a series constant on a pair's joint cells scores 0.
 
-
-def cst_matrix(panel: SeriesPanel) -> AdjacencyMatrix:
-    """Minimum spanning tree over distances 1 - |corr| (Kruskal, index tie-break).
-
-    Edge (i, j) of the tree carries weight |corr_ij|; all other entries 0.
+    Every pair at once, as masked matrix products: each series is centred
+    on its own observed mean and zeroed where missing, which keeps the
+    one-pass sums within rounding of centring on each pair's joint mean.
     """
-    n = panel.n
+    counts = _joint_counts(panel, MIN_PAIR_OBS_CORR)
+    observed = panel.mask.astype(np.float64)
+    values = np.where(panel.mask, panel.values, 0.0)
+    centred = np.where(panel.mask, values - (values.sum(axis=1) / observed.sum(axis=1))[:, None], 0.0)
+    sums = centred @ observed.T  # sums[i, j]: series i summed over the cells j observes too
+    cov = centred @ centred.T - sums * sums.T / counts
+    var = np.maximum((centred * centred) @ observed.T - sums * sums / counts, 0.0)
+    denom = np.sqrt(var * var.T)
+    weights = np.zeros((panel.n, panel.n))
+    np.divide(cov, denom, out=weights, where=_varies(*_joint_extremes(panel)) & (denom > 0.0))
+    return AdjacencyMatrix(panel.n, weights, "CM")
+
+
+def cst_matrix(corr: AdjacencyMatrix) -> AdjacencyMatrix:
+    """Minimum spanning tree over distances 1 - |corr| of a Pearson matrix.
+
+    Kruskal with the index tie-break: equal distances are taken in (i, j)
+    order. Edge (i, j) of the tree carries weight |corr_ij|; all other
+    entries 0.
+    """
+    n = corr.n
     if n < 2:
         raise DataError("spanning tree needs at least two series")
-    corr = np.abs(pearson_matrix(panel).weights)
-    edges = sorted(
-        (1.0 - corr[i, j], i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+    strength = np.abs(corr.weights)
+    rows, cols = np.triu_indices(n, 1)
+    order = np.argsort(1.0 - strength[rows, cols], kind="stable")
     parent = list(range(n))
 
     def find(a):
@@ -127,51 +187,97 @@ def cst_matrix(panel: SeriesPanel) -> AdjacencyMatrix:
 
     weights = np.zeros((n, n))
     added = 0
-    for dist, i, j in edges:
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
         ri, rj = find(i), find(j)
         if ri == rj:
             continue
         parent[ri] = rj
-        weights[i, j] = weights[j, i] = corr[i, j]
+        weights[i, j] = weights[j, i] = strength[i, j]
         added += 1
         if added == n - 1:
             break
     return AdjacencyMatrix(n, weights, "CST")
 
 
-def _bin_count(n_obs: int) -> int:
-    return min(64, max(8, int(math.isqrt(n_obs))))
+def _bin_count(n_obs: np.ndarray) -> np.ndarray:
+    """Bins per marginal for pairs of ``n_obs`` joint cells: max(8, floor(sqrt(N))), capped at 64."""
+    return np.clip(np.sqrt(n_obs).astype(np.intp), 8, 64)
 
 
-def _mi_pair(x: np.ndarray, y: np.ndarray) -> float:
-    bins = _bin_count(x.size)
-    joint, _, _ = np.histogram2d(x, y, bins=bins)
-    joint /= joint.sum()
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    outer = np.outer(px, py)
-    nonzero = joint > 0
-    return float(np.sum(joint[nonzero] * np.log(joint[nonzero] / outer[nonzero])))
+def _bin_codes(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Equal-width bin of each value, under one (lo, hi, bins) binning per row.
+
+    The edges are those of ``np.linspace(lo, hi, bins + 1)`` and a value
+    falls in the bin of the last edge at or below it, the top bin closed on
+    the right: the rule of ``np.histogram2d``. Values outside [lo, hi] land
+    in the end bins; a row with lo == hi puts every value in bin 0.
+    """
+    step = (hi - lo) / bins
+    edges = np.arange(bins.max() + 1) * step[:, None] + lo[:, None]  # linspace's arithmetic, row by row
+    spread = step > 0.0
+    top = np.where(spread, bins - 1, 0)[:, None]
+    guess = np.floor((values - lo[:, None]) / np.where(spread, step, 1.0)[:, None])
+    codes = np.clip(guess, 0, top).astype(np.intp)
+    rows = np.arange(codes.shape[0])[:, None]
+    while True:
+        # rounding can leave the guess a bin off: step it onto the edges themselves
+        down = (codes > 0) & (values < edges[rows, codes])
+        up = (codes < top) & (values >= edges[rows, codes + 1])
+        if not (down.any() or up.any()):
+            return codes
+        codes += up
+        codes -= down
 
 
 def mi_matrix(panel: SeriesPanel) -> AdjacencyMatrix:
     """Equal-width-histogram mutual information in nats, pairwise complete.
 
-    Bin count per marginal is max(8, floor(sqrt(T))) capped at 64; constant
-    series have zero entropy and score 0 against everything.
+    A pair of N joint cells is binned as ``np.histogram2d`` bins it: on
+    each series' joint range, with max(8, floor(sqrt(N))) bins capped at
+    64 per marginal. A series constant on the joint cells has zero entropy
+    and scores 0.
+
+    Each series is binned once on its own range; a pair whose joint cells
+    lose that series' minimum or maximum, or change the bin count, bins it
+    anew. Row i counts all its pairs (i, j >= i) with one offset
+    ``bincount`` and scores them in entropy form,
+    MI = (Σ c_xy log c_xy - Σ c_x log c_x - Σ c_y log c_y) / N + log N.
     """
-    n = panel.n
+    n, T = panel.n, panel.T
+    counts = _joint_counts(panel, MIN_PAIR_OBS_MI).astype(np.intp)
+    lo, hi = _joint_extremes(panel)
+    varies = _varies(lo, hi)
+    bins = _bin_count(counts)
+    own_lo, own_hi, own_bins = lo.diagonal(), hi.diagonal(), bins.diagonal()
+    values = np.where(panel.mask, panel.values, own_lo[:, None])
+    codes = _bin_codes(values, own_lo, own_hi, own_bins)
+    # own[i, j]: pair (i, j) bins series i as series i alone is binned
+    own = (lo == own_lo[:, None]) & (hi == own_hi[:, None]) & (bins == own_bins[:, None])
+    # joint cell (x, y) of pair (i, j) is counted at (j·width + x)·width + y - i·width²
+    width = int(bins.max())
+    block = width * width
+    y_cells = codes + (np.arange(n) * block)[:, None]
+    tally = np.arange(T + 1)
+    clogc = tally * np.log(np.maximum(tally, 1))  # c·log c, 0 at c = 0
     weights = np.zeros((n, n))
     for i in range(n):
-        for j in range(i, n):
-            x, y = _joint(panel, i, j)
-            if x.size < MIN_PAIR_OBS_MI:
-                raise DataError(f"series pair ({i}, {j}) has {x.size} joint points, need >= {MIN_PAIR_OBS_MI}")
-            if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-                mi = 0.0
-            else:
-                mi = max(0.0, _mi_pair(x, y))
-            weights[i, j] = weights[j, i] = mi
+        partners = np.arange(i, n)
+        cells = y_cells[i:] + (codes[i] * width - i * block)
+        redo = partners[~own[i, i:]]
+        if redo.size:
+            x = _bin_codes(np.broadcast_to(values[i], (redo.size, T)), lo[i, redo], hi[i, redo], bins[i, redo])
+            cells[redo - i] += (x - codes[i]) * width
+        redo = partners[~own[i:, i]]
+        if redo.size:
+            cells[redo - i] += _bin_codes(values[redo], lo[redo, i], hi[redo, i], bins[i, redo]) - codes[redo]
+        joint = np.bincount(cells[panel.mask[i] & panel.mask[i:]], minlength=partners.size * block)
+        joint = joint.reshape(partners.size, width, width)
+        n_obs = counts[i, i:]
+        entropy_sums = (
+            clogc[joint].sum(axis=(1, 2)) - clogc[joint.sum(axis=2)].sum(axis=1) - clogc[joint.sum(axis=1)].sum(axis=1)
+        )
+        mi = np.where(varies[i, i:], np.maximum(entropy_sums / n_obs + np.log(n_obs), 0.0), 0.0)
+        weights[i, i:] = weights[i:, i] = mi
     return AdjacencyMatrix(n, weights, "MI")
 
 
@@ -247,26 +353,19 @@ def _rss(design: np.ndarray, target: np.ndarray) -> float:
 
 
 def _longest_joint_run(panel: SeriesPanel, i: int, j: int):
-    both = panel.mask[i] & panel.mask[j]
-    best_lo = best_hi = lo = 0
-    t = 0
-    while t < both.size:
-        if both[t]:
-            lo = t
-            while t < both.size and both[t]:
-                t += 1
-            if t - lo > best_hi - best_lo:
-                best_lo, best_hi = lo, t
-        else:
-            t += 1
-    return best_lo, best_hi
+    """The first longest stretch [lo, hi) of cells both series observe; (0, 0) if none."""
+    both = np.concatenate(([0], panel.mask[i] & panel.mask[j], [0])).astype(np.int8)
+    step = np.diff(both)
+    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    if not starts.size:
+        return 0, 0
+    longest = int(np.argmax(ends - starts))  # argmax keeps the first of equal runs
+    return int(starts[longest]), int(ends[longest])
 
 
-def granger_pvalue(y: np.ndarray, x: np.ndarray, maxlag: int) -> float:
-    """F-test p-value: do x's lags improve y's autoregression?"""
-    design_r, target = _lag_design(y, None, maxlag)
-    design_a, _ = _lag_design(y, x, maxlag)
-    rss_r = _rss(design_r, target)
+def _f_test(y: np.ndarray, x: np.ndarray, maxlag: int, rss_r: float) -> float:
+    """Granger p-value of x for y, given the RSS of y's own-lags regression."""
+    design_a, target = _lag_design(y, x, maxlag)
     rss_a = _rss(design_a, target)
     dof = target.size - 2 * maxlag - 1
     if dof <= 0:
@@ -280,6 +379,11 @@ def granger_pvalue(y: np.ndarray, x: np.ndarray, maxlag: int) -> float:
     return float(special.betainc(dof / 2.0, maxlag / 2.0, dof / (dof + maxlag * f_stat)))
 
 
+def granger_pvalue(y: np.ndarray, x: np.ndarray, maxlag: int) -> float:
+    """F-test p-value: do x's lags improve y's autoregression?"""
+    return _f_test(y, x, maxlag, _rss(*_lag_design(y, None, maxlag)))
+
+
 def granger_rank(
     panel: SeriesPanel,
     candidates: dict[int, tuple[int, ...]],
@@ -290,13 +394,16 @@ def granger_rank(
     """Per target, F-test each shortlisted candidate and keep the S best.
 
     Ranking is by ascending p-value, ties broken by descending aggregated
-    weight then ascending id. Only shortlisted pairs are tested.
+    weight then ascending id. Only shortlisted pairs are tested; the
+    target's own-lags regression is solved once per joint run it is
+    tested on.
     """
     n = panel.n
     p_values = np.full((n, n), np.nan)
     per_target = {}
     tests = 0
     for target, cand_ids in candidates.items():
+        restricted = {}
         scored = []
         for cand in cand_ids:
             lo, hi = _longest_joint_run(panel, target, cand)
@@ -305,7 +412,10 @@ def granger_rank(
                 raise DataError(
                     f"pair ({target}, {cand}): joint run {run} too short for maxlag={maxlag}"
                 )
-            p = granger_pvalue(panel.values[target, lo:hi], panel.values[cand, lo:hi], maxlag)
+            y = panel.values[target, lo:hi]
+            if (lo, hi) not in restricted:
+                restricted[lo, hi] = _rss(*_lag_design(y, None, maxlag))
+            p = _f_test(y, panel.values[cand, lo:hi], maxlag, restricted[lo, hi])
             tests += 1
             p_values[target, cand] = p
             weight = aggregated.weights[target, cand] if aggregated is not None else 0.0
@@ -346,7 +456,7 @@ def build_context_map(
 
     corr = pearson_matrix(panel)
     abs_corr = AdjacencyMatrix(corr.n, np.abs(corr.weights), "CM")
-    agg = aggregate([abs_corr, cst_matrix(panel), mi_matrix(panel)])
+    agg = aggregate([abs_corr, cst_matrix(corr), mi_matrix(panel)])
     candidates = shortlist(agg, S)
     granger = granger_rank(panel, candidates, maxlag, S, agg)
 

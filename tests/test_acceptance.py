@@ -258,7 +258,7 @@ def test_criterion_context_selection_oracle():
         )
         corr_m = pearson_matrix(panel)
         agg = aggregate(
-            [AdjacencyMatrix(n, np.abs(corr_m.weights), "CM"), cst_matrix(panel), mi_matrix(panel)]
+            [AdjacencyMatrix(n, np.abs(corr_m.weights), "CM"), cst_matrix(corr_m), mi_matrix(panel)]
         )
         candidates = shortlist(agg, S)
         result = granger_rank(panel, candidates, maxlag=4, S=S, aggregated=agg)

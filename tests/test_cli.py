@@ -1,8 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 
 from contextrnn.cli import run_cli
 from contextrnn.data import load_panel
-from contextrnn.metrics import EvalReport
+from contextrnn.metrics import EvalReport, forecast_matrices
 from contextrnn.model import load_model
 
 TINY_CONFIG = """
@@ -123,6 +126,53 @@ class TestPipeline:
              "--predefined", str(given), "--out", str(out), "--config", str(config)]
         ) == 0
         assert "GLOBAL: 0,1" in out.read_text()
+
+
+class TestUnevenlyObservedEvaluation:
+    def test_one_missing_test_cell_scores(self, workspace, capsys, tmp_path):
+        # series 1 misses one cell of the test region, so it has fewer
+        # fully observed forecast windows there than the other series
+        root, config, data = workspace
+        lines = data.read_text().splitlines()
+        cells = lines[190].split(",")
+        cells[2] = ""
+        lines[190] = ",".join(cells)
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("\n".join(lines) + "\n")
+        cmap = tmp_path / "ctx.map"
+        cmap.write_text("0: 1,2\n1: 0,2\n2: 0,1\n3: 0,1\nGLOBAL: 0,1\n")
+        model = tmp_path / "model.bin"
+        assert run_cli(["train", "--data", str(gapped), "--map", str(cmap), "--config", str(config),
+                        "--set", "epochs=1", "--out", str(model)]) == 0
+        capsys.readouterr()
+
+        assert run_cli(["evaluate", "--model", str(model), "--data", str(gapped)]) == 0
+        report = EvalReport.from_json(capsys.readouterr().out)
+
+        params, panel = load_model(str(model)), load_panel(str(gapped))
+        start = max(report.config["test_start"], params.config.first_anchor)
+        predicted, actual = forecast_matrices(params, panel, start)
+        scored = ~np.isnan(actual)
+        assert not scored.all() and scored[1].sum() < scored[0].sum()
+
+        def brute_rse(p, a):
+            return math.sqrt(np.sum((a - p) ** 2)) / math.sqrt(np.sum((a - a.mean()) ** 2))
+
+        def brute_corr(p_rows, a_rows):
+            return np.mean([np.corrcoef(p, a)[0, 1] for p, a in zip(p_rows, a_rows)])
+
+        assert report.rse == pytest.approx(brute_rse(predicted[scored], actual[scored]), abs=1e-12)
+        own = [scored[i].reshape(-1) for i in range(panel.n)]
+        assert report.corr == pytest.approx(
+            brute_corr([predicted[i].reshape(-1)[own[i]] for i in range(panel.n)],
+                       [actual[i].reshape(-1)[own[i]] for i in range(panel.n)]), abs=1e-12)
+        for h in range(params.config.horizon):
+            keep = scored[:, :, h]
+            got_rse, got_corr = report.per_horizon[h + 1]
+            assert got_rse == pytest.approx(brute_rse(predicted[:, :, h][keep], actual[:, :, h][keep]), abs=1e-12)
+            assert got_corr == pytest.approx(
+                brute_corr([predicted[i, keep[i], h] for i in range(panel.n)],
+                           [actual[i, keep[i], h] for i in range(panel.n)]), abs=1e-12)
 
 
 class TestExitCodes:

@@ -86,6 +86,22 @@ class TestCorr:
             assert corr(predicted, actual) == pytest.approx(brute_force_corr(predicted, actual), abs=1e-12)
 
 
+    def test_rows_of_different_lengths(self):
+        rng = np.random.default_rng(8)
+        actual = [rng.normal(size=5), rng.normal(size=9)]
+        predicted = [a + rng.normal(scale=0.5, size=a.size) for a in actual]
+        want = np.mean([brute_force_corr(p[None], a[None]) for p, a in zip(predicted, actual)])
+        assert corr(predicted, actual) == pytest.approx(want, abs=1e-12)
+
+    def test_rows_must_pair_up(self):
+        with pytest.raises(DataError):
+            corr([np.arange(4.0)], [np.arange(4.0), np.arange(4.0)])
+        with pytest.raises(DataError):
+            corr([np.arange(4.0)], [np.arange(5.0)])
+        with pytest.raises(DataError):
+            corr(np.arange(4.0), np.arange(4.0))
+
+
 class TestEvalReport:
     def test_json_roundtrip(self):
         report = EvalReport(

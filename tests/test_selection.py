@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextrnn.data import DataError, SeriesPanel, SynthSpec, synth_generate
 from contextrnn.selection import (
+    MIN_PAIR_OBS_CORR,
+    MIN_PAIR_OBS_MI,
     AdjacencyMatrix,
     ContextMap,
     aggregate,
@@ -20,6 +24,7 @@ from contextrnn.selection import (
     shortlist,
     write_context_map,
 )
+from contextrnn.selection import _bin_codes, _longest_joint_run
 
 
 def make_panel(values, mask=None):
@@ -88,6 +93,144 @@ class TestPearson:
         assert np.all(w <= 1.0 + 1e-12) and np.all(w >= -1.0 - 1e-12)
 
 
+def reference_pearson(panel):
+    """Pairwise loop: Pearson on each pair's joint cells, 0 where either series is constant there."""
+    n = panel.n
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            keep = panel.mask[i] & panel.mask[j]
+            x, y = panel.values[i, keep], panel.values[j, keep]
+            if x.size < MIN_PAIR_OBS_CORR:
+                raise DataError(f"series pair ({i}, {j}) has {x.size} joint points, need >= {MIN_PAIR_OBS_CORR}")
+            r = 0.0
+            if np.ptp(x) > 0.0 and np.ptp(y) > 0.0:
+                xc, yc = x - x.mean(), y - y.mean()
+                r = float(xc @ yc) / math.sqrt(float(xc @ xc) * float(yc @ yc))
+            out[i, j] = out[j, i] = r
+    return out
+
+
+def reference_mi(panel):
+    """Pairwise loop: np.histogram2d mutual information on each pair's joint cells."""
+    n = panel.n
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            keep = panel.mask[i] & panel.mask[j]
+            x, y = panel.values[i, keep], panel.values[j, keep]
+            if x.size < MIN_PAIR_OBS_MI:
+                raise DataError(f"series pair ({i}, {j}) has {x.size} joint points, need >= {MIN_PAIR_OBS_MI}")
+            mi = 0.0
+            if np.ptp(x) > 0.0 and np.ptp(y) > 0.0:
+                joint, _, _ = np.histogram2d(x, y, bins=min(64, max(8, math.isqrt(x.size))))
+                joint /= joint.sum()
+                outer = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+                nonzero = joint > 0
+                mi = max(0.0, float(np.sum(joint[nonzero] * np.log(joint[nonzero] / outer[nonzero]))))
+            out[i, j] = out[j, i] = mi
+    return out
+
+
+def outcome(estimator, panel):
+    """The estimator's weights, or the message of the DataError it raised."""
+    try:
+        result = estimator(panel)
+    except DataError as exc:
+        return str(exc)
+    return result.weights if isinstance(result, AdjacencyMatrix) else result
+
+
+def assert_matches_reference(panel):
+    for estimator, reference in ((pearson_matrix, reference_pearson), (mi_matrix, reference_mi)):
+        got, want = outcome(estimator, panel), outcome(reference, panel)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def gapped_panels(draw):
+    """Random walks plus noise, optionally rounded (repeated extremes), with random gaps."""
+    n = draw(st.integers(2, 5))
+    T = draw(st.integers(20, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(n, T)).cumsum(axis=1) + rng.normal(size=(n, T))
+    if draw(st.booleans()):
+        values = np.round(values)
+    if draw(st.booleans()):
+        values[draw(st.integers(0, n - 1))] = 4.25
+    mask = rng.uniform(size=(n, T)) >= draw(st.sampled_from([0.0, 0.02, 0.1, 0.4]))
+    return make_panel(values, mask)
+
+
+class TestEstimatorsMatchPairwiseReference:
+    @settings(max_examples=60, deadline=None)
+    @given(gapped_panels())
+    def test_random_gaps(self, panel):
+        assert_matches_reference(panel)
+
+    def test_constant_series(self):
+        rng = np.random.default_rng(31)
+        values = rng.normal(size=(3, 80))
+        values[1] = 3.0
+        panel = make_panel(values)
+        assert_matches_reference(panel)
+        for estimator in (pearson_matrix, mi_matrix):
+            w = estimator(panel).weights
+            assert np.all(w[1] == 0.0) and np.all(w[:, 1] == 0.0)
+
+    def test_constant_on_partner_cells_scores_exactly_zero(self):
+        # the one-pass variance of series 0 on those cells rounds to 2e-16, not 0
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(3, 80))
+        values[0, ::2] = rng.uniform(-3, 3)  # series 0 varies, but not on the cells series 1 observes
+        mask = np.ones((3, 80), dtype=bool)
+        mask[1, 1::2] = False
+        panel = make_panel(values, mask)
+        assert_matches_reference(panel)
+        for estimator in (pearson_matrix, mi_matrix):
+            w = estimator(panel).weights
+            assert w[0, 1] == 0.0 and w[1, 0] == 0.0
+            assert w[0, 2] != 0.0
+
+    def test_partner_drops_minimum_or_maximum(self):
+        rng = np.random.default_rng(33)
+        values = rng.normal(size=(3, 90))
+        mask = np.ones((3, 90), dtype=bool)
+        mask[1, np.argmin(values[0])] = False
+        mask[2, np.argmax(values[0])] = False
+        assert_matches_reference(make_panel(values, mask))
+
+    def test_joint_count_changes_bin_count(self):
+        # 100 cells give 10 bins per marginal, the 99 joint cells 9
+        rng = np.random.default_rng(34)
+        values = rng.normal(size=(2, 100))
+        mask = np.ones((2, 100), dtype=bool)
+        mask[1, 50] = False
+        panel = make_panel(values, mask)
+        assert math.isqrt(100) != math.isqrt(99)
+        assert_matches_reference(panel)
+
+    @pytest.mark.parametrize("estimator", [pearson_matrix, mi_matrix])
+    def test_too_few_joint_points_message(self, estimator):
+        rng = np.random.default_rng(35)
+        values = rng.normal(size=(3, 60))
+        mask = np.ones((3, 60), dtype=bool)
+        mask[1, :] = False
+        mask[1, :40] = True
+        mask[2, 20:] = False  # pair (1, 2) shares 20 cells, (2, 2) 20, (0, 2) 20
+        mask[2, :18] = False  # ... now 2 each: below both minimums
+        reference = reference_pearson if estimator is pearson_matrix else reference_mi
+        with pytest.raises(DataError) as want:
+            reference(make_panel(values, mask))
+        with pytest.raises(DataError) as got:
+            estimator(make_panel(values, mask))
+        assert str(got.value) == str(want.value)
+        assert "series pair (0, 2) has 2 joint points" in str(got.value)
+
+
 def spanning_trees(n):
     """All spanning trees of K_n (fine for n=3)."""
     all_edges = list(itertools.combinations(range(n), 2))
@@ -113,7 +256,7 @@ def spanning_trees(n):
 class TestSpanningTree:
     def test_two_series_single_edge(self):
         p = make_panel([[1.0, 2.0, 4.0, 3.0], [2.0, 3.0, 8.0, 7.0]])
-        w = cst_matrix(p).weights
+        w = cst_matrix(pearson_matrix(p)).weights
         corr = pearson_matrix(p).weights[0, 1]
         assert w[0, 1] == pytest.approx(abs(corr))
         assert np.count_nonzero(w) == 2  # one undirected edge
@@ -122,7 +265,7 @@ class TestSpanningTree:
         # distances D12=0.1, D13=0.5, D23=0.2 -> tree {1-2, 2-3}
         R = np.array([[1.0, 0.9, 0.5], [0.9, 1.0, 0.8], [0.5, 0.8, 1.0]])
         p = correlated_panel(R, T=24, seed=1)
-        w = cst_matrix(p).weights
+        w = cst_matrix(pearson_matrix(p)).weights
         got = {(i, j) for i in range(3) for j in range(i + 1, 3) if w[i, j] != 0.0}
 
         corr = np.abs(pearson_matrix(p).weights)
@@ -135,19 +278,19 @@ class TestSpanningTree:
     def test_identical_series_tie_rule(self):
         x = np.array([1.0, 3.0, 2.0, 5.0])
         p = make_panel([x, x.copy(), x.copy()])
-        w = cst_matrix(p).weights
+        w = cst_matrix(pearson_matrix(p)).weights
         got = {(i, j) for i in range(3) for j in range(i + 1, 3) if w[i, j] != 0.0}
         assert got == {(0, 1), (0, 2)}  # lowest index pairs first
 
     def test_edge_count(self):
         panel = synth_generate(SynthSpec(n=7, T=200, seasonal_period=8), seed=2)
-        w = cst_matrix(panel).weights
+        w = cst_matrix(pearson_matrix(panel)).weights
         assert np.count_nonzero(np.triu(w)) == 6
         np.testing.assert_allclose(w, w.T)
 
     def test_single_series_rejected(self):
         with pytest.raises(DataError):
-            cst_matrix(make_panel([[1.0, 2.0, 3.0]]))
+            cst_matrix(pearson_matrix(make_panel([[1.0, 2.0, 3.0]])))
 
 
 class TestMutualInformation:
@@ -189,6 +332,19 @@ class TestMutualInformation:
     def test_too_few_observations(self):
         with pytest.raises(DataError, match="joint points"):
             mi_matrix(make_panel(np.random.default_rng(0).uniform(1, 2, (2, 20))))
+
+
+class TestBinCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3), st.integers(8, 64))
+    def test_histogram_rule_on_and_beside_every_edge(self, lo, width, bins):
+        hi = lo + width
+        edges = np.linspace(lo, hi, bins + 1)
+        values = np.clip(np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]), lo, hi)
+        want = np.searchsorted(edges, values, side="right") - 1
+        want[values == hi] = bins - 1  # np.histogram2d closes the top bin
+        got = _bin_codes(values[None], np.array([lo]), np.array([hi]), np.array([bins]))[0]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestAggregate:
@@ -344,6 +500,70 @@ class TestGranger:
             granger_rank(panel, {0: (1,)}, maxlag=4, S=1)
 
 
+def brute_force_run(both):
+    """The first longest stretch of True cells, by a plain scan."""
+    best_lo = best_hi = 0
+    t = 0
+    while t < both.size:
+        if both[t]:
+            lo = t
+            while t < both.size and both[t]:
+                t += 1
+            if t - lo > best_hi - best_lo:
+                best_lo, best_hi = lo, t
+        else:
+            t += 1
+    return best_lo, best_hi
+
+
+class TestLongestJointRun:
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.ones(12, dtype=bool),
+            np.zeros(12, dtype=bool),
+            np.array([1, 1, 0, 1, 1, 0, 1, 1], dtype=bool),  # three tied runs: the first wins
+            np.array([0, 1, 1, 1, 0, 0, 1, 1, 1], dtype=bool),
+            np.array([1], dtype=bool),
+            np.array([0, 0, 1], dtype=bool),
+        ],
+    )
+    def test_edge_cases(self, mask):
+        panel = make_panel(np.ones((2, mask.size)), np.stack([mask, np.ones_like(mask)]))
+        assert _longest_joint_run(panel, 0, 1) == brute_force_run(mask)
+
+    def test_random_masks_match_scan(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            T = int(rng.integers(1, 60))
+            masks = rng.uniform(size=(2, T)) < rng.uniform(0.2, 0.95)
+            panel = make_panel(np.ones((2, T)), masks)
+            assert _longest_joint_run(panel, 0, 1) == brute_force_run(masks[0] & masks[1])
+
+
+class TestGrangerRankReusesRestrictedFit:
+    def test_p_values_equal_single_pair_tests(self):
+        # candidates share the target's longest run in pairs, so the
+        # restricted fit is reused for some and solved anew for others
+        rng = np.random.default_rng(42)
+        values = rng.normal(size=(5, 400)).cumsum(axis=1) + 50.0
+        values[1, 1:] += 0.8 * values[0, :-1]
+        mask = np.ones((5, 400), dtype=bool)
+        mask[2, 150] = False
+        mask[3, 150] = False
+        mask[4, 300] = False
+        panel = make_panel(values, mask)
+        result = granger_rank(panel, {0: (1, 2, 3, 4), 1: (0, 2, 3, 4)}, maxlag=3, S=2)
+        for target in (0, 1):
+            for cand in range(5):
+                if cand == target:
+                    continue
+                keep = mask[target] & mask[cand]
+                lo, hi = brute_force_run(keep)
+                want = granger_pvalue(values[target, lo:hi], values[cand, lo:hi], maxlag=3)
+                assert result.p_values[target, cand] == want
+
+
 class TestBuildContextMap:
     def star_panel(self, seed=0, n=6, T=600):
         edges = tuple((0, j) for j in range(1, n))
@@ -412,7 +632,7 @@ class TestScaleInvariance:
         agg = aggregate(
             [
                 AdjacencyMatrix(5, np.abs(pearson_matrix(panel).weights), "CM"),
-                cst_matrix(panel),
+                cst_matrix(pearson_matrix(panel)),
                 mi_matrix(panel),
             ]
         )
@@ -420,7 +640,7 @@ class TestScaleInvariance:
         agg_s = aggregate(
             [
                 AdjacencyMatrix(5, np.abs(pearson_matrix(scaled).weights), "CM"),
-                cst_matrix(scaled),
+                cst_matrix(pearson_matrix(scaled)),
                 mi_matrix(scaled),
             ]
         )
