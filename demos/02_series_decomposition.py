@@ -8,7 +8,7 @@ stays differentiable.
 
 import numpy as np
 
-from contextrnn.smoothing import es_init, es_step, future_factors, seasonal_lookup
+from contextrnn.smoothing import es_init, es_step, future_factors
 
 rng = np.random.default_rng(7)
 period = 8
@@ -32,6 +32,6 @@ print("level, alpha  up  ", round(fast.level.item(), 3))
 print("level, alpha down ", round(slow.level.item(), 3))
 
 # the ring looks ahead one full period; longer horizons repeat the phase
-print("phase 0 factor    ", round(seasonal_lookup(state, 0).item(), 3))
+print("phase 0 factor    ", round(state.seasonal[0].item(), 3))
 horizon = [round(f.item(), 3) for f in future_factors(state, period + 2)]
 print("next factors      ", horizon, "(last two repeat the ring)")

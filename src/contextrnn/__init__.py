@@ -20,7 +20,6 @@ from .metrics import EvalReport, corr, evaluate, rse
 from .model import (
     ModelParams,
     ensemble_predict,
-    ensemble_train,
     load_model,
     predict,
     save_model,
@@ -51,7 +50,6 @@ __all__ = [
     "ModelParams",
     "train",
     "predict",
-    "ensemble_train",
     "ensemble_predict",
     "save_model",
     "load_model",

@@ -22,7 +22,7 @@ __all__ = [
     "drnn_cell_forward",
     "wdrnn_cell_forward",
     "stack_step",
-    "stack_forward",
+    "new_stack_states",
     "embed_calendar",
     "init_cell_arrays",
     "CELL_FIELDS",
@@ -185,12 +185,6 @@ def new_stack_states(layer_params, dilations):
     if len(layer_params) != len(dilations):
         raise ValueError("one dilation per layer required")
     return [LayerState(d, bottom, top) for d, (bottom, top) in zip(dilations, layer_params)]
-
-
-def stack_forward(xs, layer_params, dilations):
-    """Run a sequence through fresh states; returns the top-layer outputs."""
-    states = new_stack_states(layer_params, dilations)
-    return [stack_step(x, states, layer_params) for x in xs]
 
 
 def embed_calendar(onehot, embedding: Tensor) -> Tensor:

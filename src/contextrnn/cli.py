@@ -26,7 +26,6 @@ from .model import (
     DivergenceError,
     ensemble_predict,
     load_model,
-    predict,
     save_model,
     train,
 )
@@ -141,10 +140,6 @@ def _cmd_select_context(args) -> int:
     return 0
 
 
-def _member_path(base: str, index: int) -> str:
-    return f"{base}.{index}"
-
-
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     panel = load_panel(args.data)
@@ -154,7 +149,7 @@ def _cmd_train(args) -> int:
     for offset in range(members):
         member_cfg = cfg.with_overrides(seed=cfg.seed + offset)
         params, log = train(train_panel, cm, member_cfg, val_panel)
-        out = args.out if members == 1 else _member_path(args.out, offset)
+        out = args.out if members == 1 else f"{args.out}.{offset}"
         save_model(params, out)
         for entry in log:
             val = "-" if entry.val_loss is None else f"{entry.val_loss:.6f}"
@@ -174,10 +169,7 @@ def _cmd_predict(args) -> int:
     series = None
     if args.series:
         series = [int(tok) for tok in args.series.split(",") if tok.strip()]
-    if len(members) == 1:
-        forecasts = predict(members[0], panel, anchor, series)
-    else:
-        forecasts = ensemble_predict(members, panel, anchor, series)
+    forecasts = ensemble_predict(members, panel, anchor, series)
     rows = []
     last_stamp = panel.timestamps[anchor - 1]
     for sid in sorted(forecasts):

@@ -9,6 +9,7 @@ with the largest epoch not exceeding the current one wins).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 from .data import DataError
 
@@ -89,21 +90,18 @@ class TrainConfig:
         return replace(self, **kwargs)
 
 
-_INT_FIELDS = {
-    "epochs", "window", "horizon", "period", "context_size", "context_batch",
-    "contexts_per_target", "state_width", "hidden_width", "conv_channels",
-    "conv_kernel", "stride", "steps_per_update", "maxlag", "seed", "ensemble",
+#: the int and float fields with their types, in declaration order; model
+#: files store them in this order as ``meta.scalars``
+SCALAR_FIELDS = {
+    name: kind for name, kind in get_type_hints(TrainConfig).items() if kind in (int, float)
 }
-_FLOAT_FIELDS = {"q_star", "q_low", "q_high", "gamma"}
 _SCHEDULE_FIELDS = {"batch_schedule", "lr_schedule"}
 
 
 def _parse_value(name: str, text: str):
     text = text.strip()
-    if name in _INT_FIELDS:
-        return int(text)
-    if name in _FLOAT_FIELDS:
-        return float(text)
+    if name in SCALAR_FIELDS:
+        return SCALAR_FIELDS[name](text)
     if name == "dilations":
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     if name in _SCHEDULE_FIELDS:

@@ -19,13 +19,10 @@ import numpy as np
 __all__ = [
     "DataError",
     "SeriesPanel",
-    "WindowPair",
-    "window_pair",
     "SynthSpec",
     "load_panel",
     "split",
     "preprocess_window",
-    "normalize_output",
     "postprocess",
     "calendar_features",
     "synth_generate",
@@ -73,49 +70,6 @@ class SeriesPanel:
     @property
     def T(self) -> int:
         return self.values.shape[1]
-
-    def window(self, series: int, start: int, stop: int) -> np.ndarray:
-        return self.values[series, start:stop]
-
-
-@dataclass(frozen=True)
-class WindowPair:
-    """One training example: input window, target window, and its scalers."""
-
-    input: np.ndarray  # W preprocessed values
-    target: np.ndarray  # fh normalized targets
-    z_bar: float  # input-window mean, series units
-    seasonal_factors: np.ndarray  # W + fh factors (input part then output part)
-    series_id: int
-    t: int  # anchor timestep: first forecast position
-
-    def __post_init__(self):
-        W, fh = len(self.input), len(self.target)
-        if self.t < W or len(self.seasonal_factors) != W + fh:
-            raise DataError("anchor leaves no room for the window, or factor count is off")
-
-
-def window_pair(panel: "SeriesPanel", series_id: int, t: int, horizon: int, seasonal_factors) -> WindowPair:
-    """Normalized (input, target) example at anchor t from observed values.
-
-    ``seasonal_factors`` covers the input window then the output window
-    (W + fh values). The anchor must satisfy t >= W and t + fh <= T.
-    """
-    factors = np.asarray(seasonal_factors, dtype=np.float64)
-    W = factors.size - horizon
-    if not (W <= t and t + horizon <= panel.T):
-        raise DataError(f"anchor {t} out of range for window {W} and horizon {horizon}")
-    z_in = panel.values[series_id, t - W : t]
-    z_out = panel.values[series_id, t : t + horizon]
-    z_bar = float(z_in[panel.mask[series_id, t - W : t]].mean())
-    return WindowPair(
-        input=preprocess_window(z_in, z_bar, factors[:W]),
-        target=normalize_output(z_out, z_bar),
-        z_bar=z_bar,
-        seasonal_factors=factors,
-        series_id=series_id,
-        t=t,
-    )
 
 
 @dataclass(frozen=True)
@@ -262,13 +216,6 @@ def preprocess_window(z, z_bar, seasonal):
     if z_bar <= 0 or np.any(z <= 0) or np.any(seasonal <= 0):
         raise DataError("preprocessing needs strictly positive values")
     return np.log(z / (z_bar * seasonal))
-
-
-def normalize_output(z, z_bar):
-    """x_out = z / z_bar."""
-    if z_bar <= 0:
-        raise DataError("z_bar must be positive")
-    return np.asarray(z, dtype=np.float64) / z_bar
 
 
 def postprocess(x_hat, z_bar, seasonal, shift=0.0):

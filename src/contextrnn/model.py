@@ -15,7 +15,6 @@ as constants.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from .cells import (
     new_stack_states,
     stack_step,
 )
-from .config import TrainConfig
+from .config import SCALAR_FIELDS, TrainConfig
 from .context_track import (
     CONV_FIELDS,
     ConvStackParams,
@@ -53,14 +52,12 @@ __all__ = [
     "pinball",
     "total_loss",
     "assemble_input",
-    "adam_step",
     "Adam",
     "init_model",
     "train",
     "predict",
     "rolling_forecast",
     "ensemble_predict",
-    "ensemble_train",
     "save_model",
     "load_model",
     "input_width",
@@ -71,6 +68,10 @@ DELTA_CLAMP = 10.0
 
 MAGIC = b"CTXR"
 FORMAT_VERSION = 1
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class DivergenceError(Exception):
@@ -128,47 +129,30 @@ def assemble_input(x_in: Tensor, seasonal: Tensor, z_bar: float, calendar: Tenso
 # optimizer
 
 
-def adam_step(params, grads, moments_m, moments_v, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected update, in place; ``t`` counts from 1."""
-    if t < 1:
-        raise ValueError("step counter starts at 1")
-    for p, g, m, v in zip(params, grads, moments_m, moments_v):
-        if p.shape != np.shape(g):
-            raise ValueError(f"parameter/gradient shape mismatch: {p.shape} vs {np.shape(g)}")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params
-
-
 class Adam:
-    """Moment state for a named parameter dict."""
+    """Bias-corrected Adam moments for a named parameter dict, updated in place."""
 
-    def __init__(self, arrays: dict, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.names = tuple(arrays)
+    def __init__(self, arrays: dict):
         self.arrays = arrays
         self.m = {k: np.zeros_like(a) for k, a in arrays.items()}
         self.v = {k: np.zeros_like(a) for k, a in arrays.items()}
         self.t = 0
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
     def step(self, grads: dict, lr: float):
+        """One update; a parameter absent from ``grads`` takes a zero gradient."""
         self.t += 1
-        adam_step(
-            [self.arrays[k] for k in self.names],
-            [grads.get(k, np.zeros_like(self.arrays[k])) for k in self.names],
-            [self.m[k] for k in self.names],
-            [self.v[k] for k in self.names],
-            lr,
-            self.t,
-            self.beta1,
-            self.beta2,
-            self.eps,
-        )
+        for name, p in self.arrays.items():
+            g = grads[name] if name in grads else np.zeros_like(p)
+            if p.shape != np.shape(g):
+                raise ValueError(f"parameter/gradient shape mismatch: {p.shape} vs {np.shape(g)}")
+            m, v = self.m[name], self.v[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * np.square(g)
+            m_hat = m / (1.0 - ADAM_BETA1**self.t)
+            v_hat = v / (1.0 - ADAM_BETA2**self.t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +299,11 @@ class _Sweep:
         self.params = params
         self.cfg = params.config
         self.main = list(main_series)
+        if panel.n != params.n_series:
+            raise DataError(f"model was made for {params.n_series} series, panel has {panel.n}")
+        outside = sorted({i for i in self.main + list(params.global_batch) if not 0 <= i < panel.n})
+        if outside:
+            raise DataError(f"series ids {outside} lie outside the panel's {panel.n} series")
         self.ctx_ids = list(params.global_batch) if self.cfg.context_mode != "none" else []
         self.views: _Views | None = None
         self.main_states: dict[int, _TrackState] = {}
@@ -645,16 +634,6 @@ def predict(params: ModelParams, panel: SeriesPanel, anchor: int, series=None):
     return {sid: sweep.emit(result) for sid, result in results.items()}
 
 
-def ensemble_train(train_panel, context_map, config: TrainConfig, val_panel=None):
-    """Independently seeded members; seeds are config.seed + 0..ensemble-1."""
-    members = []
-    for offset in range(max(1, config.ensemble)):
-        member_cfg = config.with_overrides(seed=config.seed + offset)
-        params, _ = train(train_panel, context_map, member_cfg, val_panel)
-        members.append(params)
-    return members
-
-
 def ensemble_predict(members, panel: SeriesPanel, anchor: int, series=None):
     """Mean of member medians; envelope (min lower, max upper) for the bounds."""
     if not members:
@@ -676,22 +655,10 @@ def ensemble_predict(members, panel: SeriesPanel, anchor: int, series=None):
 _MODE_CODES = {"full": 0, "global": 1, "none": 2}
 _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
 
-_SCALAR_FIELDS = (
-    "epochs", "q_star", "q_low", "q_high", "gamma", "window", "horizon", "period",
-    "context_size", "context_batch", "contexts_per_target", "state_width",
-    "hidden_width", "conv_channels", "conv_kernel", "stride", "steps_per_update",
-    "maxlag", "seed", "ensemble",
-)
-_INT_SCALARS = {
-    "epochs", "window", "horizon", "period", "context_size", "context_batch",
-    "contexts_per_target", "state_width", "hidden_width", "conv_channels",
-    "conv_kernel", "stride", "steps_per_update", "maxlag", "seed", "ensemble",
-}
-
 
 def _meta_blocks(params: ModelParams) -> dict:
     cfg = params.config
-    scalars = [float(getattr(cfg, name)) for name in _SCALAR_FIELDS]
+    scalars = [float(getattr(cfg, name)) for name in SCALAR_FIELDS]
     scalars.append(float(_MODE_CODES[cfg.context_mode]))
     scalars.append(float(params.n_series))
     return {
@@ -708,18 +675,23 @@ def _meta_blocks(params: ModelParams) -> dict:
 
 
 def _config_from_meta(blocks: dict) -> tuple[TrainConfig, int, tuple]:
-    scalars = blocks["meta.scalars"]
-    values = {}
-    for i, name in enumerate(_SCALAR_FIELDS):
-        values[name] = int(scalars[i]) if name in _INT_SCALARS else float(scalars[i])
-    values["context_mode"] = _MODE_NAMES[int(scalars[len(_SCALAR_FIELDS)])]
-    n_series = int(scalars[len(_SCALAR_FIELDS) + 1])
-    values["dilations"] = tuple(int(d) for d in blocks["meta.dilations"])
-    pairs = blocks["meta.batch_schedule"]
+    def meta(name):
+        if name not in blocks:
+            raise DataError(f"model file lacks its {name} block")
+        return blocks[name]
+
+    scalars = meta("meta.scalars")
+    if scalars.shape != (len(SCALAR_FIELDS) + 2,):
+        raise DataError(f"meta.scalars holds shape {scalars.shape}, expected ({len(SCALAR_FIELDS) + 2},)")
+    values = {name: kind(x) for (name, kind), x in zip(SCALAR_FIELDS.items(), scalars)}
+    values["context_mode"] = _MODE_NAMES[int(scalars[-2])]
+    n_series = int(scalars[-1])
+    values["dilations"] = tuple(int(d) for d in meta("meta.dilations"))
+    pairs = meta("meta.batch_schedule")
     values["batch_schedule"] = {int(pairs[i]): int(pairs[i + 1]) for i in range(0, len(pairs), 2)}
-    pairs = blocks["meta.lr_schedule"]
+    pairs = meta("meta.lr_schedule")
     values["lr_schedule"] = {int(pairs[i]): float(pairs[i + 1]) for i in range(0, len(pairs), 2)}
-    global_batch = tuple(int(i) for i in blocks["meta.global_batch"])
+    global_batch = tuple(int(i) for i in meta("meta.global_batch"))
     return TrainConfig(**values), n_series, global_batch
 
 
@@ -749,27 +721,37 @@ def save_model(params: ModelParams, path):
 
 
 def load_model(path) -> ModelParams:
+    """Read a model file; a truncated or padded file is a DataError."""
     if hasattr(path, "read"):
         data = path.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    view = io.BytesIO(data)
-    if view.read(4) != MAGIC:
+    pos = 0
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal pos
+        if size > len(data) - pos:
+            raise DataError(f"model file truncated: {what} needs {size} bytes, {len(data) - pos} remain")
+        pos += size
+        return data[pos - size : pos]
+
+    if take(4, "the magic") != MAGIC:
         raise DataError("not a model file (bad magic)")
-    (version,) = struct.unpack("<I", view.read(4))
+    (version,) = struct.unpack("<I", take(4, "the version"))
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported model format version {version}")
-    (count,) = struct.unpack("<I", view.read(4))
+    (count,) = struct.unpack("<I", take(4, "the block count"))
     blocks = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", view.read(2))
-        name = view.read(name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<I", view.read(4))
-        shape = struct.unpack(f"<{ndim}I", view.read(4 * ndim)) if ndim else ()
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(view.read(8 * size), dtype="<f8").reshape(shape).astype(np.float64)
-        blocks[name] = arr
+        (name_len,) = struct.unpack("<H", take(2, "a block name's length"))
+        name = take(name_len, "a block name").decode("utf-8")
+        (ndim,) = struct.unpack("<I", take(4, f"the rank of {name}"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"the shape of {name}"))
+        payload = take(8 * math.prod(shape), f"the values of {name}")
+        blocks[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+    if pos != len(data):
+        raise DataError(f"model file has {len(data) - pos} bytes after its last block")
     config, n_series, global_batch = _config_from_meta(blocks)
     arrays = {k: v for k, v in blocks.items() if not k.startswith("meta.")}
     return ModelParams(config, n_series, global_batch, arrays)

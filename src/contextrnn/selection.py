@@ -379,11 +379,6 @@ def _f_test(y: np.ndarray, x: np.ndarray, maxlag: int, rss_r: float) -> float:
     return float(special.betainc(dof / 2.0, maxlag / 2.0, dof / (dof + maxlag * f_stat)))
 
 
-def granger_pvalue(y: np.ndarray, x: np.ndarray, maxlag: int) -> float:
-    """F-test p-value: do x's lags improve y's autoregression?"""
-    return _f_test(y, x, maxlag, _rss(*_lag_design(y, None, maxlag)))
-
-
 def granger_rank(
     panel: SeriesPanel,
     candidates: dict[int, tuple[int, ...]],

@@ -21,7 +21,6 @@ __all__ = [
     "es_init",
     "es_step",
     "es_skip",
-    "seasonal_lookup",
     "future_factors",
     "DEFAULT_LOGIT",
 ]
@@ -31,7 +30,7 @@ DEFAULT_LOGIT = -2.0
 
 
 class SmoothingError(Exception):
-    """Invalid smoothing input (non-positive value, bad offset, short prefix)."""
+    """Invalid smoothing input (non-positive value, ring size, short prefix)."""
 
 
 class ESState:
@@ -51,16 +50,6 @@ class ESState:
         self.alpha_logit = alpha_logit
         self.beta_logit = beta_logit
         self.period = period
-
-    def detach(self) -> "ESState":
-        """Constant copy (used at tape truncation boundaries)."""
-        return ESState(
-            self.level.detach(),
-            [s.detach() for s in self.seasonal],
-            self.alpha_logit.detach(),
-            self.beta_logit.detach(),
-            self.period,
-        )
 
 
 def _scalar(x) -> Tensor:
@@ -127,13 +116,6 @@ def es_skip(state: ESState) -> ESState:
         state.beta_logit,
         state.period,
     )
-
-
-def seasonal_lookup(state: ESState, offset: int) -> Tensor:
-    """Stored factor for phase ``offset`` in [0, p)."""
-    if not (0 <= offset < state.period):
-        raise SmoothingError(f"offset {offset} outside ring of period {state.period}")
-    return state.seasonal[offset]
 
 
 def future_factors(state: ESState, horizon: int) -> list[Tensor]:

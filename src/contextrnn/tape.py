@@ -20,7 +20,6 @@ __all__ = [
     "Tensor",
     "backward",
     "grad_check",
-    "primitive_forward",
     "add",
     "sub",
     "mul",
@@ -60,14 +59,12 @@ class Tape:
     """Append-only record of primitives, plus the gradient map filled by backward.
 
     Node ids are list indices, so they are topologically ordered by
-    construction. ``check_finite=True`` verifies every forward result is
-    finite (debug mode; off by default for throughput).
+    construction.
     """
 
-    def __init__(self, check_finite=False):
+    def __init__(self):
         self.nodes: list[Node] = []
         self.gradients: dict[int, np.ndarray] = {}
-        self.check_finite = check_finite
 
     def leaf(self, values) -> "Tensor":
         """Register an independent variable and return its tracked tensor."""
@@ -77,8 +74,6 @@ class Tape:
         return Tensor(arr, self, node.id)
 
     def _record(self, op, inputs, values, pulls):
-        if self.check_finite and not np.all(np.isfinite(values)):
-            raise FloatingPointError(f"non-finite output from primitive '{op}'")
         node = Node(len(self.nodes), op, inputs, values, pulls)
         self.nodes.append(node)
         return node.id
@@ -466,37 +461,7 @@ def conv1d_pointwise(kernels, x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# dispatch, backward, gradient checking
-
-PRIMITIVES = {
-    "add": add,
-    "sub": sub,
-    "mul_elementwise": mul,
-    "matmul": matmul,
-    "concat": concat,
-    "slice": slice_,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "mean": mean,
-    "conv1d_depthwise": conv1d_depthwise,
-    "conv1d_pointwise": conv1d_pointwise,
-    "relu": relu,
-    "clip": clip,
-    "hypot": hypot,
-    "atan2": atan2,
-    "reshape": reshape,
-}
-
-
-def primitive_forward(op, *inputs, **kwargs) -> Tensor:
-    """Apply a primitive by name (see PRIMITIVES for the supported set)."""
-    try:
-        fn = PRIMITIVES[op]
-    except KeyError:
-        raise ValueError(f"unknown primitive {op!r}") from None
-    return fn(*inputs, **kwargs)
+# backward, gradient checking
 
 
 def backward(loss: Tensor) -> dict[int, np.ndarray]:

@@ -12,7 +12,6 @@ from contextrnn.cells import (
     embed_calendar,
     init_cell_arrays,
     new_stack_states,
-    stack_forward,
     stack_step,
     wdrnn_cell_forward,
 )
@@ -148,6 +147,12 @@ class TestWeightedCell:
             wdrnn_cell_forward(Tensor(np.zeros(4)), CellState(2, 2, 5), CellState(2, 4, 4), bottom, top)
 
 
+def run_stack(xs, layers, dilations):
+    """Fresh states, then one stack_step per input: the path the model's sweep runs."""
+    states = new_stack_states(layers, dilations)
+    return [stack_step(x, states, layers) for x in xs]
+
+
 def build_layers(rng, in_width, hidden, s_h, dilations, zero_from=None):
     layers = []
     for i, _d in enumerate(dilations):
@@ -168,15 +173,15 @@ class TestStack:
         rng = np.random.default_rng(8)
         layers = build_layers(rng, 3, 4, 2, [2], zero_from=0)
         xs = [Tensor(rng.normal(size=3)) for _ in range(5)]
-        for y in stack_forward(xs, layers, [2]):
+        for y in run_stack(xs, layers, [2]):
             np.testing.assert_allclose(y.values, 0.0, atol=1e-15)
 
     def test_residual_passthrough(self):
         rng = np.random.default_rng(9)
         layers = build_layers(rng, 3, 4, 2, [2, 4], zero_from=1)
         xs = [Tensor(rng.normal(size=3)) for _ in range(6)]
-        two = stack_forward(xs, layers, [2, 4])
-        one = stack_forward(xs, layers[:1], [2])
+        two = run_stack(xs, layers, [2, 4])
+        one = run_stack(xs, layers[:1], [2])
         for a, b in zip(two, one):
             np.testing.assert_allclose(a.values, b.values, atol=1e-15)
 
@@ -217,7 +222,7 @@ class TestStack:
                 b = DRNNCellParams(bottom.s_m, bottom.s_h, **{f: lookup[(i, "bottom", f)] for f in CELL_FIELDS})
                 t = DRNNCellParams(0, top.s_h, **{f: lookup[(i, "top", f)] for f in CELL_FIELDS})
                 rebuilt.append((b, t))
-            out = stack_forward([Tensor(x) for x in xs], rebuilt, dilations)
+            out = run_stack([Tensor(x) for x in xs], rebuilt, dilations)
             total = None
             for y in out:
                 m = tp.mean(y)
@@ -233,7 +238,7 @@ class TestStack:
         def run():
             rng = np.random.default_rng(123)
             layers = build_layers(rng, 3, 4, 2, [1, 2])
-            return [y.values.copy() for y in stack_forward([Tensor(v) for v in rng_values], layers, [1, 2])]
+            return [y.values.copy() for y in run_stack([Tensor(v) for v in rng_values], layers, [1, 2])]
 
         for a, b in zip(run(), run()):
             np.testing.assert_array_equal(a, b)

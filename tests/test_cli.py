@@ -197,6 +197,60 @@ class TestExitCodes:
         assert code == 3
 
 
+@pytest.fixture(scope="module")
+def four_series_model(workspace):
+    root, config, data = workspace
+    cmap = root / "four.map"
+    cmap.write_text("0: 1,2\n1: 0,2\n2: 0,1\n3: 0,1\nGLOBAL: 0,1\n")
+    model = root / "four.bin"
+    assert run_cli(["train", "--data", str(data), "--map", str(cmap), "--config", str(config),
+                    "--set", "epochs=1", "--out", str(model)]) == 0
+    return model
+
+
+class TestModelMeetsItsPanel:
+    """A model file or map that does not fit the panel is a data error, reported in one line."""
+
+    def assert_data_error(self, argv, capsys):
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:"), err
+
+    def three_series_panel(self, tmp_path):
+        path = tmp_path / "three.csv"
+        assert run_cli(["synth", "--n", "3", "--t", "200", "--period", "8", "--seed", "3", "--out", str(path)]) == 0
+        return path
+
+    def test_predict_on_a_panel_with_another_series_count(self, four_series_model, tmp_path, capsys):
+        three = self.three_series_panel(tmp_path)
+        self.assert_data_error(["predict", "--model", str(four_series_model), "--data", str(three),
+                                "--out", str(tmp_path / "f.csv")], capsys)
+
+    def test_evaluate_on_a_panel_with_another_series_count(self, four_series_model, tmp_path, capsys):
+        three = self.three_series_panel(tmp_path)
+        self.assert_data_error(["evaluate", "--model", str(four_series_model), "--data", str(three)], capsys)
+
+    def test_predict_series_outside_the_panel(self, workspace, four_series_model, tmp_path, capsys):
+        _root, _config, data = workspace
+        self.assert_data_error(["predict", "--model", str(four_series_model), "--data", str(data),
+                                "--series", "9", "--out", str(tmp_path / "f.csv")], capsys)
+
+    def test_train_with_a_global_batch_outside_the_panel(self, workspace, tmp_path, capsys):
+        _root, config, data = workspace
+        cmap = tmp_path / "far.map"
+        cmap.write_text("0: 1,2\n1: 0,2\n2: 0,1\n3: 0,1\nGLOBAL: 0,9\n")
+        self.assert_data_error(["train", "--data", str(data), "--map", str(cmap), "--config", str(config),
+                                "--out", str(tmp_path / "m.bin")], capsys)
+
+    def test_evaluate_a_truncated_model_file(self, workspace, four_series_model, tmp_path, capsys):
+        _root, _config, data = workspace
+        half = tmp_path / "half.bin"
+        whole = four_series_model.read_bytes()
+        half.write_bytes(whole[: len(whole) // 2])
+        self.assert_data_error(["evaluate", "--model", str(half), "--data", str(data)], capsys)
+
+
 class TestAblate:
     def test_prints_three_rses(self, workspace, capsys):
         root, config, data = workspace

@@ -5,19 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from contextrnn.config import TrainConfig
 from contextrnn.data import (
     DataError,
     SynthSpec,
     calendar_features,
     load_panel,
-    normalize_output,
     postprocess,
     preprocess_window,
     split,
     synth_generate,
-    window_pair,
     write_panel_csv,
 )
+from contextrnn.model import _Sweep, _Views, init_model
 
 
 def panel_from_text(text):
@@ -96,12 +96,6 @@ class TestWindows:
         out = preprocess_window(np.array([4.0]), 2.0, np.array([1.0]))
         assert out[0] == pytest.approx(math.log(2.0), abs=1e-15)
 
-    def test_normalize_output(self):
-        np.testing.assert_allclose(normalize_output(np.array([3.0, 6.0]), 2.0), [1.5, 3.0])
-        np.testing.assert_allclose(normalize_output(np.array([0.0]), 2.0), [0.0])
-        with pytest.raises(DataError):
-            normalize_output(np.array([1.0]), 0.0)
-
     def test_postprocess_values(self):
         assert postprocess(np.array([0.0]), 5.0, np.array([1.0]))[0] == pytest.approx(5.0)
         out = postprocess(np.array([math.log(2.0)]), 5.0, np.array([1.1]))
@@ -128,16 +122,19 @@ class TestWindows:
         assert out[0] == pytest.approx(2.5)
 
     def test_window_pair_extraction(self):
+        # the model's sweep normalizes an input window on the tape as preprocess_window does
         panel = synth_generate(SynthSpec(n=2, T=40, seasonal_period=4), seed=8)
-        factors = np.ones(10)  # W=8 input factors + fh=2 output factors
-        pair = window_pair(panel, series_id=1, t=20, horizon=2, seasonal_factors=factors)
-        assert pair.input.shape == (8,) and pair.target.shape == (2,)
-        assert pair.z_bar == pytest.approx(panel.values[1, 12:20].mean())
-        np.testing.assert_allclose(
-            pair.target, panel.values[1, 20:22] / pair.z_bar
-        )
-        with pytest.raises(DataError, match="out of range"):
-            window_pair(panel, 0, t=4, horizon=2, seasonal_factors=factors)
+        cfg = TrainConfig(window=8, horizon=2, period=4, dilations=(1,), context_mode="none")
+        params = init_model(cfg, panel.n, None)
+        sweep = _Sweep(panel, params, [1])
+        sweep.set_views(_Views(params))
+        sweep.advance_to(20)
+        state = sweep.main_states[1]
+        x_in, z_bar, usable = sweep._window(state, 1, 20)
+        assert usable and z_bar == pytest.approx(panel.values[1, 12:20].mean())
+        factors = np.concatenate([np.ravel(f.values) for f in state.factors[-8:]])
+        expected = preprocess_window(panel.values[1, 12:20], z_bar, factors)
+        np.testing.assert_allclose(x_in.values, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestCalendar:

@@ -1,18 +1,20 @@
+import hashlib
 import io
+import struct
 
 import numpy as np
 import pytest
 
+from contextrnn import model
 from contextrnn import tape as tp
+from contextrnn.cli import run_cli
 from contextrnn.config import TrainConfig, load_config, parse_overrides, save_config
-from contextrnn.data import DataError, SynthSpec, split, synth_generate
+from contextrnn.data import DataError, SynthSpec, split, synth_generate, write_panel_csv
 from contextrnn.model import (
     Adam,
     DivergenceError,
-    adam_step,
     assemble_input,
     ensemble_predict,
-    ensemble_train,
     init_model,
     input_width,
     load_model,
@@ -23,7 +25,7 @@ from contextrnn.model import (
     total_loss,
     train,
 )
-from contextrnn.selection import ContextMap
+from contextrnn.selection import ContextMap, write_context_map
 from contextrnn.tape import Tensor
 
 
@@ -127,12 +129,14 @@ class TestAssembleInput:
 class TestAdam:
     def test_zero_gradient_no_change(self):
         p = np.array([1.0, -2.0])
-        adam_step([p], [np.zeros(2)], [np.zeros(2)], [np.zeros(2)], lr=0.1, t=1)
+        Adam({"p": p}).step({"p": np.zeros(2)}, lr=0.1)
+        np.testing.assert_array_equal(p, [1.0, -2.0])
+        Adam({"p": p}).step({}, lr=0.1)  # an absent gradient counts as zero
         np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_lr_zero_identity(self):
         p = np.array([1.0, -2.0])
-        adam_step([p], [np.ones(2)], [np.zeros(2)], [np.zeros(2)], lr=0.0, t=1)
+        Adam({"p": p}).step({"p": np.ones(2)}, lr=0.0)
         np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_constant_gradient_step_approaches_lr_sign(self):
@@ -140,26 +144,26 @@ class TestAdam:
         # tends to lr * sign(g)
         p = np.array([0.0])
         g = np.array([3.7])
-        m, v = np.zeros(1), np.zeros(1)
+        opt = Adam({"p": p})
         lr = 0.01
         prev = p.copy()
         step_size = None
-        for t in range(1, 200):
+        for _ in range(1, 200):
             prev = p.copy()
-            adam_step([p], [g], [m], [v], lr=lr, t=t)
+            opt.step({"p": g}, lr=lr)
             step_size = prev[0] - p[0]
         assert step_size == pytest.approx(lr, rel=1e-3)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            adam_step([np.ones(2)], [np.ones(3)], [np.zeros(2)], [np.zeros(2)], lr=0.1, t=1)
+        with pytest.raises(ValueError, match="mismatch"):
+            Adam({"p": np.ones(2)}).step({"p": np.ones(3)}, lr=0.1)
 
     def test_named_wrapper_registers_each_param_once(self):
         cfg = tiny_config()
         params = init_model(cfg, 4, tiny_map())
         assert len(set(params.trainable)) == len(params.trainable)
         opt = Adam({k: params.arrays[k] for k in params.trainable})
-        assert set(opt.names) == set(params.trainable)
+        assert list(opt.m) == list(opt.v) == list(params.trainable)
 
 
 class TestConfig:
@@ -286,15 +290,22 @@ class TestTraining:
         with pytest.raises(DivergenceError), np.errstate(over="ignore", invalid="ignore"):
             train(tiny_panel(), tiny_map(), cfg)
 
-    def test_ensemble_train_members_are_independent_seeds(self):
-        cfg = tiny_config(epochs=1, ensemble=2)
-        members = ensemble_train(tiny_panel(), tiny_map(), cfg)
-        assert len(members) == 2
-        assert members[0].config.seed == cfg.seed
-        assert members[1].config.seed == cfg.seed + 1
-        solo, _ = train(tiny_panel(), tiny_map(), cfg.with_overrides(ensemble=1))
-        for k in solo.arrays:
-            np.testing.assert_array_equal(members[0].arrays[k], solo.arrays[k])
+    def test_ensemble_train_members_are_independent_seeds(self, tmp_path):
+        # `contextrnn train` with ensemble = 2 writes members seeded seed + 0 and seed + 1
+        data, cmap, config = tmp_path / "panel.csv", tmp_path / "ctx.map", tmp_path / "run.cfg"
+        write_panel_csv(tiny_panel(), str(data))
+        write_context_map(tiny_map(), str(cmap))
+        save_config(tiny_config(epochs=1), str(config))
+        base = ["train", "--data", str(data), "--map", str(cmap), "--config", str(config)]
+        out = tmp_path / "m.bin"
+        assert run_cli(base + ["--set", "ensemble=2", "--out", str(out)]) == 0
+        members = [load_model(f"{out}.{i}") for i in range(2)]
+        assert [m.config.seed for m in members] == [0, 1]
+        solo = tmp_path / "solo.bin"
+        assert run_cli(base + ["--out", str(solo)]) == 0
+        solo_params = load_model(str(solo))
+        for k in solo_params.arrays:
+            np.testing.assert_array_equal(members[0].arrays[k], solo_params.arrays[k])
 
 
 class TestPrediction:
@@ -383,3 +394,75 @@ class TestSerialization:
         b = predict(again, panel, anchor=60)
         for sid in a:
             np.testing.assert_array_equal(a[sid][0], b[sid][0])
+
+    def test_golden_file(self):
+        # pins the block layout, the meta.scalars order and the init draw order
+        buf = io.BytesIO()
+        save_model(init_model(tiny_config(), 4, tiny_map()), buf)
+        assert len(buf.getvalue()) == 109951
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == (
+            "cd6c8f729e58366c3fd4aee280597421198fa96e21051017f407bec99e38897c"
+        )
+
+
+def field_ends(data):
+    """Offsets where the file header and each block's name length, name, rank, shape and values end."""
+    (count,) = struct.unpack_from("<I", data, 8)
+    ends, pos = [4, 8, 12], 12
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", data, pos)
+        (ndim,) = struct.unpack_from("<I", data, pos + 2 + name_len)
+        shape = struct.unpack_from(f"<{ndim}I", data, pos + 6 + name_len)
+        for size in (2, name_len, 4, 4 * ndim, 8 * int(np.prod(shape))):
+            pos += size
+            ends.append(pos)
+    assert pos == len(data)
+    return ends
+
+
+class TestLengthCheckedReader:
+    def setup_method(self):
+        buf = io.BytesIO()
+        self.params = init_model(tiny_config(), 4, tiny_map())
+        save_model(self.params, buf)
+        self.data = buf.getvalue()
+
+    def test_prefix_cut_at_every_field_boundary(self):
+        cuts = sorted({c + d for c in field_ends(self.data) for d in (-1, 0, 1) if c + d < len(self.data)})
+        assert len(cuts) > 400
+        for cut in cuts:
+            with pytest.raises(DataError, match="truncated"):
+                load_model(io.BytesIO(self.data[:cut]))
+
+    def test_prefix_cut_at_random_points(self):
+        rng = np.random.default_rng(0)
+        for cut in rng.integers(0, len(self.data), 50):
+            with pytest.raises(DataError, match="truncated"):
+                load_model(io.BytesIO(self.data[:cut]))
+
+    def test_bytes_after_last_block(self):
+        with pytest.raises(DataError, match="after its last block"):
+            load_model(io.BytesIO(self.data + b"\x00"))
+
+    def test_missing_meta_block(self, monkeypatch):
+        write_meta = model._meta_blocks
+        for name in write_meta(self.params):
+            monkeypatch.setattr(model, "_meta_blocks", lambda p: {k: v for k, v in write_meta(p).items() if k != name})
+            buf = io.BytesIO()
+            save_model(self.params, buf)
+            with pytest.raises(DataError, match=f"lacks its {name} block"):
+                load_model(io.BytesIO(buf.getvalue()))
+
+    def test_scalar_block_of_another_length(self, monkeypatch):
+        write_meta = model._meta_blocks
+
+        def short_scalars(params):
+            blocks = write_meta(params)
+            blocks["meta.scalars"] = blocks["meta.scalars"][1:]
+            return blocks
+
+        monkeypatch.setattr(model, "_meta_blocks", short_scalars)
+        buf = io.BytesIO()
+        save_model(self.params, buf)
+        with pytest.raises(DataError, match="meta.scalars holds"):
+            load_model(io.BytesIO(buf.getvalue()))

@@ -17,7 +17,6 @@ from contextrnn.selection import (
     aggregate,
     build_context_map,
     cst_matrix,
-    granger_pvalue,
     granger_rank,
     mi_matrix,
     pearson_matrix,
@@ -438,6 +437,11 @@ def oracle_granger_p(y, x, maxlag):
     return float(stats.f.sf(f_stat, maxlag, dof))
 
 
+def pair_pvalue(y, x, maxlag):
+    """p-value of x for y from granger_rank on the two-series panel [y, x]."""
+    return granger_rank(make_panel([y, x]), {0: (1,)}, maxlag, S=1).p_values[0, 1]
+
+
 class TestGranger:
     def lagged_pair(self, seed, T=2000, noise=0.01):
         rng = np.random.default_rng(seed)
@@ -447,7 +451,7 @@ class TestGranger:
 
     def test_lagged_driver_detected(self):
         y, x = self.lagged_pair(seed=13)
-        p = granger_pvalue(y, x, maxlag=4)
+        p = pair_pvalue(y, x, maxlag=4)
         assert p < 1e-6
         assert p == pytest.approx(oracle_granger_p(y, x, 4), rel=1e-8, abs=1e-300)
 
@@ -456,7 +460,7 @@ class TestGranger:
         x = rng.normal(size=500)
         y = 0.05 * np.roll(x, 1) + rng.normal(size=500)
         y[0] = 0.0
-        p_mine = granger_pvalue(y + 5, x + 5, maxlag=3)
+        p_mine = pair_pvalue(y + 5, x + 5, maxlag=3)
         p_oracle = oracle_granger_p(y + 5, x + 5, 3)
         assert p_mine == pytest.approx(p_oracle, rel=1e-9)
 
@@ -466,7 +470,7 @@ class TestGranger:
             rng = np.random.default_rng(3000 + seed)
             y = rng.normal(size=300) + 10
             x = rng.normal(size=300) + 10
-            if granger_pvalue(y, x, maxlag=4) > 0.001:
+            if pair_pvalue(y, x, maxlag=4) > 0.001:
                 hits += 1
         assert hits >= 90
 
@@ -481,7 +485,7 @@ class TestGranger:
             y[t] = 0.9 * y[t - 5] + noise[t]
         y = y[200:] + 50.0
         x = np.roll(y, 1)
-        p = granger_pvalue(y[1:], x[1:], maxlag=4)
+        p = pair_pvalue(y[1:], x[1:], maxlag=4)
         assert p < 1e-10
 
     def test_rank_selects_driver_first(self):
@@ -560,7 +564,7 @@ class TestGrangerRankReusesRestrictedFit:
                     continue
                 keep = mask[target] & mask[cand]
                 lo, hi = brute_force_run(keep)
-                want = granger_pvalue(values[target, lo:hi], values[cand, lo:hi], maxlag=3)
+                want = pair_pvalue(values[target, lo:hi], values[cand, lo:hi], maxlag=3)
                 assert result.p_values[target, cand] == want
 
 

@@ -9,7 +9,6 @@ from contextrnn.smoothing import (
     es_skip,
     es_step,
     future_factors,
-    seasonal_lookup,
 )
 from contextrnn.tape import Tensor, grad_check
 
@@ -19,18 +18,18 @@ class TestInit:
         state = es_init([5.0] * 8, period=4)
         assert state.level.item() == pytest.approx(5.0)
         for i in range(4):
-            assert seasonal_lookup(state, i).item() == pytest.approx(1.0)
+            assert state.seasonal[i].item() == pytest.approx(1.0)
 
     def test_periodic_pattern(self):
         # [2c, c, 2c, c] with p=2: factors 4/3 and 2/3, mean exactly 1
         state = es_init([6.0, 3.0, 6.0, 3.0], period=2)
         assert state.level.item() == pytest.approx(4.5)
-        assert seasonal_lookup(state, 0).item() == pytest.approx(4.0 / 3.0)
-        assert seasonal_lookup(state, 1).item() == pytest.approx(2.0 / 3.0)
+        assert state.seasonal[0].item() == pytest.approx(4.0 / 3.0)
+        assert state.seasonal[1].item() == pytest.approx(2.0 / 3.0)
 
     def test_degenerate_period_one(self):
         state = es_init([7.0, 9.0], period=1)
-        assert seasonal_lookup(state, 0).item() == pytest.approx(1.0)
+        assert state.seasonal[0].item() == pytest.approx(1.0)
 
     def test_errors(self):
         with pytest.raises(SmoothingError, match="initialize"):
@@ -84,17 +83,19 @@ class TestStep:
 class TestRing:
     def test_lookup_after_step(self):
         state = es_init([6.0, 3.0, 6.0, 3.0], period=2)
-        first = seasonal_lookup(state, 0).item()
-        second = seasonal_lookup(state, 1).item()
+        first = state.seasonal[0].item()
+        second = state.seasonal[1].item()
         state, _, s_new = es_step(state, 6.0)
-        assert seasonal_lookup(state, 0).item() == pytest.approx(second)
-        assert seasonal_lookup(state, 1).item() == pytest.approx(s_new.item())
+        assert state.seasonal[0].item() == pytest.approx(second)
+        assert state.seasonal[1].item() == pytest.approx(s_new.item())
         assert first != second
 
     def test_offset_bounds(self):
+        # the ring covers exactly the phases 0 .. p-1
         state = es_init([5.0] * 4, period=2)
-        with pytest.raises(SmoothingError):
-            seasonal_lookup(state, 2)
+        assert len(state.seasonal) == 2
+        with pytest.raises(SmoothingError, match="ring holds"):
+            ESState(state.level, state.seasonal + [Tensor(1.0)], state.alpha_logit, state.beta_logit, 2)
 
     def test_skip_rotates_without_update(self):
         state = es_init([6.0, 3.0, 6.0, 3.0], period=2)
