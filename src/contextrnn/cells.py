@@ -6,6 +6,12 @@ weighted cell couples two of them: the bottom cell's m-slots pass through
 exp() to re-weight the input coordinates before the top cell sees them.
 Layers above the first add an identity residual, so all layer outputs
 share one width.
+
+Inputs and states carry features on their last axis, so a ``(B, width)``
+batch of series runs through the same ops as a single ``(width,)`` input
+and records the same tape nodes. Each cell fuses its four gates per kind
+into one ``(in, 4·out)`` matrix when its parameters are bound, so a step
+is three matrix products.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ __all__ = [
     "wdrnn_cell_forward",
     "stack_step",
     "new_stack_states",
+    "blend_rows",
+    "stack_rows",
     "embed_calendar",
     "init_cell_arrays",
     "CELL_FIELDS",
@@ -43,9 +51,13 @@ class DRNNCellParams:
     (bottom) cell whose output divides into m (first s_m slots) and the
     controlling state h (next s_h slots); with ``s_m`` == 0 the full
     output serves as both y and h.
+
+    ``W``, ``V`` and ``U`` are the four gates of each kind fused into one
+    ``(in, 4·out)`` matrix (columns in f, u, o, c order) and ``b`` the
+    fused bias; they are built once, on the tape of the gate tensors.
     """
 
-    __slots__ = CELL_FIELDS + ("s_m", "s_h")
+    __slots__ = CELL_FIELDS + ("s_m", "s_h", "W", "V", "U", "b")
 
     def __init__(self, s_m: int, s_h: int, **tensors):
         self.s_m = s_m
@@ -55,6 +67,9 @@ class DRNNCellParams:
         out = self.W_f.values.shape[0]
         if s_m and out != s_m + s_h:
             raise ValueError(f"split cell output width {out} != s_m + s_h = {s_m + s_h}")
+        for kind in ("W", "V", "U"):
+            setattr(self, kind, tp.transpose(stack_rows([getattr(self, f"{kind}_{gate}") for gate in GATE_NAMES])))
+        self.b = stack_rows([getattr(self, f"b_{gate}") for gate in GATE_NAMES])
 
     @property
     def out_width(self) -> int:
@@ -80,8 +95,38 @@ def init_cell_arrays(rng, in_width: int, out_width: int, h_width: int) -> dict:
     return arrays
 
 
+def stack_rows(parts) -> Tensor:
+    """The parts stacked by rows, as ``tp.concat`` on axis 0.
+
+    Untracked parts that are already consecutive row blocks of one buffer,
+    as a model lays out its gates, stack as a view of that buffer.
+    """
+    base = parts[0].values.base
+    if base is not None and base.flags.c_contiguous and all(p.node is None and p.values.base is base for p in parts):
+        start = base.__array_interface__["data"][0]
+        ends = np.cumsum([p.values.nbytes for p in parts])
+        starts = [p.values.__array_interface__["data"][0] - start for p in parts]
+        if starts == [0, *ends[:-1]] and ends[-1] == base.nbytes and all(p.values.flags.c_contiguous for p in parts):
+            return Tensor(base.reshape((-1,) + parts[0].values.shape[1:]))
+    return tp.concat(parts)
+
+
+def blend_rows(take, new: Tensor, old: Tensor) -> Tensor:
+    """``new`` where ``take`` holds, else ``old``; ``take`` is a bool array broadcast against both.
+
+    Written as take·new + (1 - take)·old, which is exact for finite values,
+    so a held row keeps its bits.
+    """
+    weight = take.astype(np.float64)
+    return tp.add(tp.mul(Tensor(weight), new), tp.mul(Tensor(1.0 - weight), old))
+
+
 class CellState:
-    """Ring buffers of the last d controlling states and cell states."""
+    """Ring buffers of the last d controlling states and cell states.
+
+    The rings start as zero vectors, which broadcast against a batch; once
+    pushed, an entry holds one row per series.
+    """
 
     __slots__ = ("d", "h_history", "c_history")
 
@@ -98,63 +143,70 @@ class CellState:
             raise ValueError(f"offset {offset} outside history of depth {self.d}")
         return self.h_history[-offset], self.c_history[-offset]
 
-    def push(self, h: Tensor, c: Tensor):
-        self.h_history.append(h)
-        self.c_history.append(c)
-        del self.h_history[0]
-        del self.c_history[0]
+    def push(self, h: Tensor, c: Tensor, advance=None):
+        """Append (h, c) and drop the oldest entry.
+
+        ``advance`` (bool per batch row, or None for all) marks the rows
+        that take the push; every other row keeps its history exactly,
+        each slot blended row by row between the shifted and the held ring.
+        """
+        if advance is None or advance.all():
+            self.h_history = self.h_history[1:] + [h]
+            self.c_history = self.c_history[1:] + [c]
+            return
+        rows = advance[:, None]
+        self.h_history = [blend_rows(rows, s, r) for s, r in zip(self.h_history[1:] + [h], self.h_history)]
+        self.c_history = [blend_rows(rows, s, r) for s, r in zip(self.c_history[1:] + [c], self.c_history)]
 
     def detach(self):
         self.h_history = [t.detach() for t in self.h_history]
         self.c_history = [t.detach() for t in self.c_history]
 
 
-def _gate(params, gate, x, h_prev, h_dil):
-    pre = tp.add(
-        tp.add(tp.matmul(getattr(params, f"W_{gate}"), x), tp.matmul(getattr(params, f"V_{gate}"), h_prev)),
-        tp.add(tp.matmul(getattr(params, f"U_{gate}"), h_dil), getattr(params, f"b_{gate}")),
-    )
-    return tp.tanh(pre) if gate == "c" else tp.sigmoid(pre)
-
-
-def drnn_cell_forward(x: Tensor, state: CellState, params: DRNNCellParams):
+def drnn_cell_forward(x: Tensor, state: CellState, params: DRNNCellParams, advance=None):
     """One step of a dilated cell; returns ((m, h) or y, c).
 
     c_t = u*(f*c_{t-1} + (1-f)*c_{t-d}) + (1-u)*c~ and h' = o*c_t; the
-    split depends on params.s_m. New h and c are pushed onto the state.
+    split depends on params.s_m. New h and c are pushed onto the state
+    (for the rows in ``advance``, see :meth:`CellState.push`).
     """
-    if x.values.shape != (params.in_width,):
+    if x.values.shape[-1] != params.in_width:
         raise ValueError(f"cell expects input of width {params.in_width}, got {x.values.shape}")
     h_prev, c_prev = state.read(1)
     h_dil, c_dil = state.read(state.d)
-    f = _gate(params, "f", x, h_prev, h_dil)
-    u = _gate(params, "u", x, h_prev, h_dil)
-    o = _gate(params, "o", x, h_prev, h_dil)
-    c_cand = _gate(params, "c", x, h_prev, h_dil)
-    mixed = tp.add(tp.mul(f, c_prev), tp.mul(tp.sub(1.0, f), c_dil))
+    pre = tp.add(
+        tp.add(tp.matmul(x, params.W), tp.matmul(h_prev, params.V)),
+        tp.add(tp.matmul(h_dil, params.U), params.b),
+    )
+    out_w = params.out_width
+    gates = tp.sigmoid(tp.slice_(pre, 0, 3 * out_w, axis=-1))
+    f, u, o = (tp.slice_(gates, i * out_w, (i + 1) * out_w, axis=-1) for i in range(3))
+    c_cand = tp.tanh(tp.slice_(pre, 3 * out_w, 4 * out_w, axis=-1))
+    # f*c_prev + (1-f)*c_dil, written so that equal histories (d = 1) mix exactly
+    mixed = tp.add(c_dil, tp.mul(f, tp.sub(c_prev, c_dil)))
     c = tp.add(tp.mul(u, mixed), tp.mul(tp.sub(1.0, u), c_cand))
     h_full = tp.mul(o, c)
     if params.s_m:
-        m = tp.slice_(h_full, 0, params.s_m)
-        h = tp.slice_(h_full, params.s_m, params.s_m + params.s_h)
+        m = tp.slice_(h_full, 0, params.s_m, axis=-1)
+        h = tp.slice_(h_full, params.s_m, params.s_m + params.s_h, axis=-1)
         out = (m, h)
     else:
         h = h_full
         out = h_full
-    state.push(h, c)
+    state.push(h, c, advance)
     return out, c
 
 
-def wdrnn_cell_forward(x, bottom_state, top_state, bottom_params, top_params) -> Tensor:
+def wdrnn_cell_forward(x, bottom_state, top_state, bottom_params, top_params, advance=None) -> Tensor:
     """Two coupled cells: exp(m) from the bottom cell re-weights the top input."""
-    if bottom_params.s_m != x.values.shape[0]:
+    if bottom_params.s_m != x.values.shape[-1]:
         raise ValueError(
-            f"bottom cell weights {bottom_params.s_m} slots but input has {x.values.shape[0]}"
+            f"bottom cell weights {bottom_params.s_m} slots but input has {x.values.shape[-1]}"
         )
-    (m, _h), _c = drnn_cell_forward(x, bottom_state, bottom_params)
+    (m, _h), _c = drnn_cell_forward(x, bottom_state, bottom_params, advance)
     weights = tp.exp(m)
     weighted = tp.mul(weights, x)
-    y, _c2 = drnn_cell_forward(weighted, top_state, top_params)
+    y, _c2 = drnn_cell_forward(weighted, top_state, top_params, advance)
     return y
 
 
@@ -172,11 +224,15 @@ class LayerState:
         self.top.detach()
 
 
-def stack_step(x: Tensor, states, layer_params) -> Tensor:
-    """Advance every layer one step; identity residuals from layer 2 upward."""
+def stack_step(x: Tensor, states, layer_params, advance=None) -> Tensor:
+    """Advance every layer one step; identity residuals from layer 2 upward.
+
+    ``advance`` marks the batch rows whose histories take this step; the
+    other rows' outputs are computed but their states are held.
+    """
     out = x
     for i, (bottom, top) in enumerate(layer_params):
-        y = wdrnn_cell_forward(out, states[i].bottom, states[i].top, bottom, top)
+        y = wdrnn_cell_forward(out, states[i].bottom, states[i].top, bottom, top, advance)
         out = y if i == 0 else tp.add(y, out)
     return out
 
@@ -188,11 +244,11 @@ def new_stack_states(layer_params, dilations):
 
 
 def embed_calendar(onehot, embedding: Tensor) -> Tensor:
-    """Project the 74-dim calendar one-hot block through a 74×8 embedding."""
+    """Project 74-dim calendar one-hot blocks (one, or one row each) through a 74×8 embedding."""
     onehot = onehot if isinstance(onehot, Tensor) else Tensor(onehot)
-    if onehot.values.shape != (embedding.values.shape[0],):
+    if onehot.values.ndim > 2 or onehot.values.shape[-1] != embedding.values.shape[0]:
         raise ValueError("calendar block width does not match the embedding")
-    marks = onehot.values.sum()
-    if marks != 4.0 or not set(np.unique(onehot.values)) <= {0.0, 1.0}:
+    marks = onehot.values.sum(axis=-1)
+    if np.any(marks != 4.0) or not set(np.unique(onehot.values)) <= {0.0, 1.0}:
         raise ValueError("calendar block must be four concatenated one-hot groups")
     return tp.matmul(onehot, embedding)

@@ -136,7 +136,7 @@ def assemble_context(per_series) -> Tensor:
 
 
 def modulate(r: Tensor, g: Tensor) -> Tensor:
-    """Elementwise product of the shared context with a per-series gain."""
-    if r.values.shape != g.values.shape:
+    """Elementwise product of the shared context with per-series gains (a vector, or one row per series)."""
+    if r.values.shape[-1:] != g.values.shape[-1:]:
         raise ValueError(f"context/gain length mismatch: {r.values.shape} vs {g.values.shape}")
     return tp.mul(r, g)

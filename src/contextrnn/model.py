@@ -24,7 +24,9 @@ import numpy as np
 from . import tape as tp
 from .cells import (
     CELL_FIELDS,
+    GATE_NAMES,
     DRNNCellParams,
+    blend_rows,
     embed_calendar,
     init_cell_arrays,
     new_stack_states,
@@ -43,7 +45,7 @@ from .context_track import (
 from .data import DataError, SeriesPanel, calendar_features, postprocess
 from .selection import ContextMap
 from .smoothing import DEFAULT_LOGIT, ESState, es_init, es_skip, es_step, future_factors
-from .tape import Tape, Tensor, backward
+from .tape import DomainError, Tape, Tensor, backward
 
 __all__ = [
     "DivergenceError",
@@ -75,7 +77,7 @@ ADAM_EPS = 1e-8
 
 
 class DivergenceError(Exception):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient, or left a function's domain."""
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +117,20 @@ def input_width(config: TrainConfig) -> int:
     return base + config.context_size * config.context_batch
 
 
-def assemble_input(x_in: Tensor, seasonal: Tensor, z_bar: float, calendar: Tensor, context=None) -> Tensor:
-    """Fixed-order concatenation [x_in, seasonal factors, log10(z_bar), calendar, context]."""
-    if z_bar <= 0.0:
+def assemble_input(x_in: Tensor, seasonal: Tensor, z_bar, calendar: Tensor, context=None) -> Tensor:
+    """Fixed-order concatenation [x_in, seasonal factors, log10(z_bar), calendar, context].
+
+    One input is a vector; a batch is one row per series, with ``z_bar``
+    holding one level per row.
+    """
+    z_bar = np.asarray(z_bar, dtype=np.float64)
+    if np.any(z_bar <= 0.0):
         raise DataError("window level must be positive")
-    parts = [x_in, seasonal, Tensor([math.log10(z_bar)]), calendar]
+    level = Tensor(np.log10(z_bar).reshape(x_in.values.shape[:-1] + (1,)))
+    parts = [x_in, seasonal, level, calendar]
     if context is not None:
         parts.append(context)
-    return tp.concat(parts)
+    return tp.concat(parts, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +183,7 @@ class ModelParams:
         return tuple(self.arrays)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.config, self.n_series, self.global_batch, {k: v.copy() for k, v in self.arrays.items()}
-        )
+        return ModelParams(self.config, self.n_series, self.global_batch, _packed(self.config, self.arrays))
 
 
 def _layer_widths(config: TrainConfig):
@@ -202,7 +208,48 @@ def init_model(config: TrainConfig, n_series: int, context_map: ContextMap | Non
     else:
         global_batch = ()
 
-    rng = np.random.default_rng(config.seed)
+    arrays = _parameter_arrays(config, n_series, np.random.default_rng(config.seed))
+    return ModelParams(config, n_series, tuple(global_batch), _packed(config, arrays))
+
+
+def _packed(config: TrainConfig, arrays: dict) -> dict:
+    """Owned float64 copies of ``arrays``, the cells' gates packed.
+
+    Each cell's four gate arrays of one kind are copied into consecutive
+    row blocks of one buffer, so the fused gate matrix of a forward-only
+    sweep is a view of that buffer (:func:`cells.stack_rows`) and the
+    weights are held once.
+    """
+    out = {}
+    for i in range(len(config.dilations)):
+        for part in ("bottom", "top"):
+            for kind in ("W", "V", "U", "b"):
+                names = [f"layer{i}.{part}.{kind}_{gate}" for gate in GATE_NAMES]
+                blocks = np.split(np.concatenate([arrays[name] for name in names]), len(names))
+                out.update(zip(names, blocks))
+    return {name: out[name] if name in out else np.array(arr, dtype=np.float64) for name, arr in arrays.items()}
+
+
+class _Shapes:
+    """Stands in for the generator where only the parameter shapes are wanted.
+
+    Draws are zero-strided views, and a config that asks for more drawn
+    values than ``budget`` fails before they are allocated, so a model
+    file cannot make its reader build arrays larger than the file.
+    """
+
+    def __init__(self, budget: int):
+        self.left = budget
+
+    def uniform(self, low, high, size):
+        self.left -= math.prod(size)
+        if self.left < 0:
+            raise DataError("model file's config asks for more parameters than the file holds")
+        return np.broadcast_to(np.float64(0.0), size)
+
+
+def _parameter_arrays(config: TrainConfig, n_series: int, rng) -> dict:
+    """Every parameter array, drawn from ``rng`` in the order the model file format fixes."""
     arrays: dict[str, np.ndarray] = {}
     arrays["embedding"] = rng.uniform(-1, 1, (74, CALENDAR_EMBED)) / np.sqrt(74)
     head_rows = 3 * config.horizon + 2
@@ -224,7 +271,7 @@ def init_model(config: TrainConfig, n_series: int, context_map: ContextMap | Non
         arrays["ctx_beta_logit"] = np.full(config.context_batch, DEFAULT_LOGIT)
     arrays["main_alpha_logit"] = np.full(n_series, DEFAULT_LOGIT)
     arrays["main_beta_logit"] = np.full(n_series, DEFAULT_LOGIT)
-    return ModelParams(config, n_series, tuple(global_batch), arrays)
+    return arrays
 
 
 class _Views:
@@ -235,7 +282,7 @@ class _Views:
     the full forward pass.
     """
 
-    __slots__ = ("leafs", "layers", "embedding", "head_w", "head_b", "conv")
+    __slots__ = ("leafs", "layers", "embedding", "head_wt", "head_b", "conv")
 
     def __init__(self, params: ModelParams, tape: Tape | None = None, leafs: dict | None = None):
         cfg = params.config
@@ -259,36 +306,67 @@ class _Views:
             top = DRNNCellParams(0, cfg.hidden_width, **{f: self.leafs[f"layer{i}.top.{f}"] for f in CELL_FIELDS})
             self.layers.append((bottom, top))
         self.embedding = self.leafs["embedding"]
-        self.head_w = self.leafs["head_w"]
+        self.head_wt = tp.transpose(self.leafs["head_w"])
         self.head_b = self.leafs["head_b"]
         self.conv = None
         if cfg.context_mode != "none":
             self.conv = ConvStackParams(**{f: self.leafs[f"conv.{f}"] for f in CONV_FIELDS})
 
-    def logit(self, table: str, index: int) -> Tensor:
-        return tp.slice_(self.leafs[table], index, index + 1)
-
-    def modulation_row(self, sid: int) -> Tensor:
-        row = tp.slice_(self.leafs["modulation"], sid, sid + 1, axis=0)
-        return tp.reshape(row, (row.values.shape[1],))
-
-
-def _row(t: Tensor) -> Tensor:
-    return t if t.values.ndim == 1 else tp.reshape(t, (1,))
+    def rows(self, table: str, ids) -> Tensor:
+        """The rows of a per-series table that belong to the series ``ids``, in order."""
+        return tp.gather(self.leafs[table], ids)
 
 
 # ---------------------------------------------------------------------------
 # the sweep: shared forward machinery for training, validation and prediction
+#
+# A sweep carries one batch of target series (the main track) and the K
+# context series (the context track) as arrays with the series on the first
+# axis, so each op is recorded once per batch. A row whose input window is
+# more than half missing, or whose window level is not positive, is skipped
+# at that anchor: it gets an all-zero input, emits nothing, adds no loss
+# term, and keeps its cell histories and pending smoothing corrections.
 
 
-class _TrackState:
-    __slots__ = ("es", "factors", "pending", "pos")
+class _Track:
+    """Smoothing state, factor history and pending corrections of a batch of series."""
 
-    def __init__(self, es: ESState):
-        self.es = es
-        self.factors = []  # factor tensor per consumed position, trimmed to W
-        self.pending = None  # (delta_alpha, delta_beta) tensors from the last head output
+    __slots__ = ("values", "mask", "es", "factors", "pending", "pos")
+
+    def __init__(self, panel: SeriesPanel, ids, period: int, alpha_logit: Tensor, beta_logit: Tensor):
+        self.values = panel.values[ids]
+        self.mask = panel.mask[ids]
+        prefix = self.values[:, : 2 * period].copy()
+        observed = self.mask[:, : 2 * period]
+        empty = [int(ids[i]) for i in np.flatnonzero(~observed.any(axis=1))]
+        if empty:
+            raise DataError(f"series {empty} have no observations in their warm-up prefix")
+        for i in np.flatnonzero(~observed.all(axis=1)):
+            prefix[i, ~observed[i]] = prefix[i, observed[i]].mean()
+        self.es = es_init(prefix, period, alpha_logit, beta_logit)
+        self.factors = []  # (B, 1) factor column per consumed position, trimmed to max(W, p)
+        self.pending = None  # (delta_alpha, delta_beta) rows from the last head output
         self.pos = 0
+
+    def relink(self, alpha_logit: Tensor, beta_logit: Tensor):
+        """Carry the state into a new tape segment as constants."""
+        es = self.es
+        self.es = ESState(es.level.detach(), [s.detach() for s in es.seasonal], alpha_logit, beta_logit, es.period)
+        self.factors = [f.detach() for f in self.factors]
+        if self.pending is not None:
+            self.pending = tuple(d.detach() for d in self.pending)
+
+
+@dataclass(frozen=True)
+class _Anchor:
+    """One anchor's head outputs for every batch row (log space), and which rows count."""
+
+    median: Tensor  # (B, fh)
+    lower: Tensor
+    upper: Tensor
+    z_bar: np.ndarray  # (B,) window levels, 1.0 on skipped rows
+    s_future: Tensor  # (B, fh) seasonal factors of the forecast steps
+    usable: np.ndarray  # (B,) bool: False on skipped rows
 
 
 class _Sweep:
@@ -298,176 +376,184 @@ class _Sweep:
         self.panel = panel
         self.params = params
         self.cfg = params.config
-        self.main = list(main_series)
+        self.main_ids = np.array(list(main_series), dtype=np.intp)
         if panel.n != params.n_series:
             raise DataError(f"model was made for {params.n_series} series, panel has {panel.n}")
-        outside = sorted({i for i in self.main + list(params.global_batch) if not 0 <= i < panel.n})
+        outside = sorted({int(i) for i in (*self.main_ids, *params.global_batch) if not 0 <= i < panel.n})
         if outside:
             raise DataError(f"series ids {outside} lie outside the panel's {panel.n} series")
-        self.ctx_ids = list(params.global_batch) if self.cfg.context_mode != "none" else []
+        self.ctx_ids = np.array(params.global_batch if self.cfg.context_mode != "none" else (), dtype=np.intp)
         self.views: _Views | None = None
-        self.main_states: dict[int, _TrackState] = {}
-        self.ctx_states: list[_TrackState] = []
-        self.stack_states: dict[int, list] = {}
+        self.main: _Track | None = None
+        self.ctx: _Track | None = None
+        self.gains: Tensor | None = None  # modulation rows of the batch
+        self.stack_states = None
         self.skipped_windows = 0
 
     # -- state management -------------------------------------------------
-
-    def _prefix(self, sid: int) -> np.ndarray:
-        need = 2 * self.cfg.period
-        values = self.panel.values[sid, :need].copy()
-        mask = self.panel.mask[sid, :need]
-        if not mask.any():
-            raise DataError(f"series {sid} has no observations in its warm-up prefix")
-        values[~mask] = values[mask].mean()
-        return values
 
     def set_views(self, views: _Views):
         """Enter a new tape segment; carried state becomes constant."""
         first = self.views is None
         self.views = views
+        main_logits = (views.rows("main_alpha_logit", self.main_ids), views.rows("main_beta_logit", self.main_ids))
+        ctx_logits = ()
+        if self.ctx_ids.size:
+            ctx_logits = (views.leafs["ctx_alpha_logit"], views.leafs["ctx_beta_logit"])
+            self.gains = views.rows("modulation", self.main_ids)
         if first:
-            for sid in self.main:
-                es = es_init(
-                    self._prefix(sid),
-                    self.cfg.period,
-                    views.logit("main_alpha_logit", sid),
-                    views.logit("main_beta_logit", sid),
-                )
-                self.main_states[sid] = _TrackState(es)
-                self.stack_states[sid] = new_stack_states(views.layers, self.cfg.dilations)
-            for k, cid in enumerate(self.ctx_ids):
-                es = es_init(
-                    self._prefix(cid),
-                    self.cfg.period,
-                    views.logit("ctx_alpha_logit", k),
-                    views.logit("ctx_beta_logit", k),
-                )
-                self.ctx_states.append(_TrackState(es))
+            self.main = _Track(self.panel, self.main_ids, self.cfg.period, *main_logits)
+            if self.ctx_ids.size:
+                self.ctx = _Track(self.panel, self.ctx_ids, self.cfg.period, *ctx_logits)
+            self.stack_states = new_stack_states(views.layers, self.cfg.dilations)
             return
-        for sid in self.main:
-            self._relink(self.main_states[sid], views.logit("main_alpha_logit", sid), views.logit("main_beta_logit", sid))
-            for layer in self.stack_states[sid]:
-                layer.detach()
-        for k, state in enumerate(self.ctx_states):
-            self._relink(state, views.logit("ctx_alpha_logit", k), views.logit("ctx_beta_logit", k))
+        self.main.relink(*main_logits)
+        if self.ctx is not None:
+            self.ctx.relink(*ctx_logits)
+        for layer in self.stack_states:
+            layer.detach()
 
-    @staticmethod
-    def _relink(state: _TrackState, alpha_logit: Tensor, beta_logit: Tensor):
-        es = state.es
-        state.es = ESState(
-            es.level.detach(), [s.detach() for s in es.seasonal], alpha_logit, beta_logit, es.period
-        )
-        state.factors = [f.detach() for f in state.factors]
-        if state.pending is not None:
-            state.pending = tuple(d.detach() for d in state.pending)
-
-    def _advance(self, state: _TrackState, sid: int, upto: int):
-        values = self.panel.values[sid]
-        mask = self.panel.mask[sid]
-        da, db = state.pending if state.pending is not None else (0.0, 0.0)
+    def _advance(self, track: _Track, upto: int):
+        da, db = track.pending if track.pending is not None else (0.0, 0.0)
         keep = max(self.cfg.window, self.cfg.period)
-        for t in range(state.pos, upto):
-            state.factors.append(state.es.seasonal[0])
-            if mask[t]:
-                state.es, _, _ = es_step(state.es, values[t], da, db)
+        column = (len(track.values), 1)
+        for t in range(track.pos, upto):
+            track.factors.append(tp.reshape(track.es.seasonal[0], column))
+            observed = track.mask[:, t]
+            if observed.all():
+                track.es, _, _ = es_step(track.es, track.values[:, t], da, db)
+            elif not observed.any():
+                track.es = es_skip(track.es)
             else:
-                state.es = es_skip(state.es)
-        if len(state.factors) > keep:
-            del state.factors[: len(state.factors) - keep]
-        state.pos = upto
+                # step every row (a missing one on a stand-in 1.0), then keep
+                # the rotated ring's level and new entry on the missing rows
+                stepped, _, _ = es_step(track.es, np.where(observed, track.values[:, t], 1.0), da, db)
+                held = es_skip(track.es)
+                track.es = ESState(
+                    blend_rows(observed, stepped.level, held.level),
+                    stepped.seasonal[:-1] + [blend_rows(observed, stepped.seasonal[-1], held.seasonal[-1])],
+                    stepped.alpha_logit,
+                    stepped.beta_logit,
+                    stepped.period,
+                )
+        if len(track.factors) > keep:
+            del track.factors[: len(track.factors) - keep]
+        track.pos = upto
 
     def advance_to(self, t: int):
-        for sid in self.main:
-            self._advance(self.main_states[sid], sid, t)
-        for k, cid in enumerate(self.ctx_ids):
-            self._advance(self.ctx_states[k], cid, t)
+        self._advance(self.main, t)
+        if self.ctx is not None:
+            self._advance(self.ctx, t)
 
     # -- per-anchor forward -------------------------------------------------
 
-    def _window(self, state: _TrackState, sid: int, t: int):
-        """(x_in tensor, z_bar, usable) for the W points before t."""
+    def _window(self, track: _Track, t: int):
+        """(x_in (B, W), z_bar (B,), usable (B,)) for the W points before t; skipped rows are zero."""
         W = self.cfg.window
-        z = self.panel.values[sid, t - W : t]
-        mask = self.panel.mask[sid, t - W : t]
-        observed = z[mask]
-        if observed.size < W - W // 2:  # more than half missing
-            return None, 0.0, False
-        z_bar = float(observed.mean())
-        if z_bar <= 0.0:
-            return None, 0.0, False
-        safe = np.where(mask, z, z_bar)
-        factors = tp.concat([_row(f) for f in state.factors[-W:]])
-        x_in = tp.sub(Tensor(np.log(safe / z_bar)), tp.log(factors))
+        z = track.values[:, t - W : t]
+        mask = track.mask[:, t - W : t]
+        count = mask.sum(axis=1)
+        z_bar = np.where(mask, z, 0.0).sum(axis=1) / np.maximum(count, 1)
+        usable = (count >= W - W // 2) & (z_bar > 0.0)  # at most half missing
+        mask = mask & usable[:, None]
+        z_bar = np.where(usable, z_bar, 1.0)
+        safe = np.where(mask, z, z_bar[:, None])
+        factors = tp.concat(track.factors[-W:], axis=1)
+        x_in = tp.sub(Tensor(np.log(safe / z_bar[:, None])), tp.log(factors))
         if not mask.all():
             x_in = tp.mul(x_in, Tensor(mask.astype(np.float64)))  # neutral fill: x_in = 0
-        return x_in, z_bar, True
+        return x_in, z_bar, usable
 
     def _context_vector(self, t: int):
-        if not self.ctx_ids:
+        if self.ctx is None:
             return None
-        vectors = []
-        for k, cid in enumerate(self.ctx_ids):
-            state = self.ctx_states[k]
-            x_in, _, usable = self._window(state, cid, t)
-            if not usable:
-                x_in = Tensor(np.zeros(self.cfg.window))
-            r, da, db = context_conv_forward(fft_features(x_in), self.views.conv)
-            state.pending = (tp.clip(da, -DELTA_CLAMP, DELTA_CLAMP), tp.clip(db, -DELTA_CLAMP, DELTA_CLAMP))
+        x_ctx, _, _ = self._window(self.ctx, t)
+        width = self.cfg.window
+        vectors, das, dbs = [], [], []
+        for k in range(len(self.ctx_ids)):
+            row = tp.reshape(tp.slice_(x_ctx, k, k + 1), (width,))
+            r, da, db = context_conv_forward(fft_features(row), self.views.conv)
             vectors.append(r)
+            das.append(da)
+            dbs.append(db)
+        self.ctx.pending = tuple(tp.clip(tp.concat(d), -DELTA_CLAMP, DELTA_CLAMP) for d in (das, dbs))
         return assemble_context(vectors)
 
-    def step(self, t: int):
-        """Run one anchor; returns {sid: (median, lower, upper, z_bar, s_future)} in log space."""
-        if t != max(s.pos for s in self.main_states.values()):
+    def step(self, t: int) -> _Anchor | None:
+        """Run one anchor; None when every row of the batch is skipped."""
+        if t != self.main.pos:
             raise DataError("anchors must be visited in order after advance_to")
         fh = self.cfg.horizon
+        views = self.views
+        main = self.main
+        batch = len(self.main_ids)
         shared_context = self._context_vector(t)
-        calendar = embed_calendar(calendar_features(self.panel.timestamps[t - 1]), self.views.embedding)
-        out: dict[int, tuple] = {}
-        for sid in self.main:
-            state = self.main_states[sid]
-            x_in, z_bar, usable = self._window(state, sid, t)
-            if not usable:
-                self.skipped_windows += 1
-                continue
-            seasonal = tp.concat([_row(f) for f in state.es.seasonal])
-            context = None
-            if shared_context is not None:
-                context = modulate(shared_context, self.views.modulation_row(sid))
-            x_full = assemble_input(x_in, seasonal, z_bar, calendar, context)
-            y = stack_step(x_full, self.stack_states[sid], self.views.layers)
-            head = tp.add(tp.matmul(self.views.head_w, y), self.views.head_b)
-            median = tp.slice_(head, 0, fh)
-            lower = tp.slice_(head, fh, 2 * fh)
-            upper = tp.slice_(head, 2 * fh, 3 * fh)
-            da = tp.clip(tp.slice_(head, 3 * fh, 3 * fh + 1), -DELTA_CLAMP, DELTA_CLAMP)
-            db = tp.clip(tp.slice_(head, 3 * fh + 1, 3 * fh + 2), -DELTA_CLAMP, DELTA_CLAMP)
-            state.pending = (da, db)
-            s_future = tp.concat([_row(f) for f in future_factors(state.es, fh)])
-            out[sid] = (median, lower, upper, z_bar, s_future)
-        return out
-
-    def loss_for(self, sid: int, t: int, result) -> Tensor | None:
-        """Pinball loss in normalized space, or None when targets are missing."""
-        fh = self.cfg.horizon
-        median, lower, upper, z_bar, s_future = result
-        target_mask = self.panel.mask[sid, t : t + fh]
-        if target_mask.size < fh or not target_mask.all():
+        x_in, z_bar, usable = self._window(main, t)
+        skipped = batch - int(usable.sum())
+        self.skipped_windows += skipped
+        if skipped == batch:
             return None
-        actual = self.panel.values[sid, t : t + fh] / z_bar
-        preds = [tp.mul(tp.exp(q), s_future) for q in (median, lower, upper)]
-        return total_loss(
-            actual, *preds, self.cfg.gamma, self.cfg.q_star, self.cfg.q_low, self.cfg.q_high
-        )
+        onehot = np.tile(calendar_features(self.panel.timestamps[t - 1]), (batch, 1))
+        calendar = embed_calendar(onehot, views.embedding)
+        seasonal = tp.concat([tp.reshape(f, (batch, 1)) for f in main.es.seasonal], axis=1)
+        context = None if shared_context is None else modulate(shared_context, self.gains)
+        x_full = assemble_input(x_in, seasonal, z_bar, calendar, context)
+        advance = None
+        if skipped:
+            x_full = tp.mul(x_full, Tensor(usable[:, None].astype(np.float64)))
+            advance = usable
+        y = stack_step(x_full, self.stack_states, views.layers, advance)
+        head = tp.add(tp.matmul(y, views.head_wt), views.head_b)
+        median, lower, upper = (tp.slice_(head, i * fh, (i + 1) * fh, axis=1) for i in range(3))
+        deltas = tp.clip(tp.slice_(head, 3 * fh, 3 * fh + 2, axis=1), -DELTA_CLAMP, DELTA_CLAMP)
+        pending = tuple(tp.reshape(tp.slice_(deltas, i, i + 1, axis=1), (batch,)) for i in range(2))
+        if skipped:
+            held = main.pending or (Tensor(np.zeros(batch)),) * 2
+            pending = tuple(blend_rows(usable, new, old) for new, old in zip(pending, held))
+        main.pending = pending
+        s_future = tp.concat([tp.reshape(f, (batch, 1)) for f in future_factors(main.es, fh)], axis=1)
+        return _Anchor(median, lower, upper, z_bar, s_future, usable)
 
-    def emit(self, result) -> tuple:
-        """(median, lower, upper) in series units, positivity shift undone."""
-        median, lower, upper, z_bar, s_future = result
-        s_vals = s_future.values
-        return tuple(
-            postprocess(q.values, z_bar, s_vals, self.panel.shift) for q in (median, lower, upper)
-        )
+    def loss_terms(self, t: int, result: _Anchor | None):
+        """(actuals, [median, lower, upper] predictions) of the rows with a whole target window.
+
+        Both in normalized space, one row per loss term in batch order; None
+        when no row has one.
+        """
+        fh = self.cfg.horizon
+        if result is None or t + fh > self.panel.T:
+            return None
+        complete = result.usable & self.main.mask[:, t : t + fh].all(axis=1)
+        if not complete.any():
+            return None
+        rows = np.flatnonzero(complete)
+        actual = self.main.values[rows, t : t + fh] / result.z_bar[rows, None]
+        quantities = (result.median, result.lower, result.upper, result.s_future)
+        if not complete.all():
+            quantities = tuple(tp.gather(q, rows) for q in quantities)
+        *logs, s_future = quantities
+        return actual, [tp.mul(tp.exp(q), s_future) for q in logs]
+
+    def emit(self, result: _Anchor | None) -> dict:
+        """{sid: (median, lower, upper)} in series units, positivity shift undone."""
+        if result is None:
+            return {}
+        rows = np.flatnonzero(result.usable)
+        z_bar = result.z_bar[rows, None]
+        s_vals = result.s_future.values[rows]
+        outs = [
+            postprocess(q.values[rows], z_bar, s_vals, self.panel.shift)
+            for q in (result.median, result.lower, result.upper)
+        ]
+        return {int(self.main_ids[r]): tuple(out[i] for out in outs) for i, r in enumerate(rows)}
+
+
+def _mean_loss(cfg: TrainConfig, terms) -> tuple[Tensor, int]:
+    """The loss averaged over every term of ``terms`` (a list of ``loss_terms`` results), and their count."""
+    actual = np.concatenate([a for a, _ in terms])
+    preds = [tp.concat([p[i] for _, p in terms]) for i in range(3)]
+    loss = total_loss(actual, *preds, cfg.gamma, cfg.q_star, cfg.q_low, cfg.q_high)
+    return loss, len(actual)
 
 
 # ---------------------------------------------------------------------------
@@ -522,44 +608,46 @@ def train(
         lr = cfg.lr_at(epoch)
         order = [int(i) for i in order_rng.permutation(train_panel.n)]
         batches = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
-        epoch_losses: list[float] = []
-        updates = 0
-        for batch in batches:
-            sweep = _Sweep(train_panel, params, batch)
-            for lo in range(0, len(anchors), cfg.steps_per_update):
-                segment = anchors[lo : lo + cfg.steps_per_update]
-                tape = Tape()
-                views = _Views(params, tape)
-                sweep.set_views(views)
-                losses = []
-                for t in segment:
-                    sweep.advance_to(t)
-                    results = sweep.step(t)
-                    for sid, result in results.items():
-                        loss = sweep.loss_for(sid, t, result)
-                        if loss is not None:
-                            losses.append(tp.reshape(loss, (1,)))
-                if not losses:
-                    continue
-                segment_loss = tp.mean(tp.concat(losses))
-                value = float(segment_loss.values)
-                if not math.isfinite(value):
-                    raise DivergenceError(f"non-finite loss at epoch {epoch}")
-                grads = backward(segment_loss)
-                grad_map = {}
-                for name in params.trainable:
-                    g = grads.get(views.leafs[name].node)
-                    if g is not None:
-                        grad_map[name] = g
-                adam.step(grad_map, lr)
-                updates += 1
-                epoch_losses.extend(float(l.values[0]) for l in losses)
-        train_loss = float(np.mean(epoch_losses)) if epoch_losses else math.nan
-        val_loss = validation_loss(params, val_panel) if val_panel is not None else None
+        loss_sum, loss_terms, updates = 0.0, 0, 0
+        try:
+            for batch in batches:
+                sweep = _Sweep(train_panel, params, batch)
+                for lo in range(0, len(anchors), cfg.steps_per_update):
+                    tape = Tape()
+                    views = _Views(params, tape)
+                    sweep.set_views(views)
+                    terms = []
+                    for t in anchors[lo : lo + cfg.steps_per_update]:
+                        sweep.advance_to(t)
+                        got = sweep.loss_terms(t, sweep.step(t))
+                        if got is not None:
+                            terms.append(got)
+                    if not terms:
+                        continue
+                    segment_loss, count = _mean_loss(cfg, terms)
+                    value = float(segment_loss.values)
+                    if not math.isfinite(value):
+                        raise DivergenceError(f"non-finite loss at epoch {epoch}")
+                    grads = backward(segment_loss)
+                    grad_map = {}
+                    for name in params.trainable:
+                        g = grads.get(views.leafs[name].node)
+                        if g is not None:
+                            if not np.all(np.isfinite(g)):
+                                raise DivergenceError(f"non-finite gradient of {name} at epoch {epoch}")
+                            grad_map[name] = g
+                    adam.step(grad_map, lr)
+                    updates += 1
+                    loss_sum += value * count
+                    loss_terms += count
+            val_loss = validation_loss(params, val_panel) if val_panel is not None else None
+        except DomainError as exc:
+            raise DivergenceError(f"{exc} at epoch {epoch}") from exc
+        train_loss = loss_sum / loss_terms if loss_terms else math.nan
         log.append(EpochStats(epoch, scheduled, batch_size, lr, train_loss, val_loss, updates))
         if val_loss is not None and val_loss < best_val:
             best_val = val_loss
-            best_arrays = {k: v.copy() for k, v in params.arrays.items()}
+            best_arrays = _packed(cfg, params.arrays)
     if best_arrays is not None:
         params = ModelParams(cfg, params.n_series, params.global_batch, best_arrays)
     return params, log
@@ -573,14 +661,13 @@ def validation_loss(params: ModelParams, panel: SeriesPanel) -> float | None:
         return None
     sweep = _Sweep(panel, params, range(panel.n))
     sweep.set_views(_Views(params, tape=None))
-    losses = []
+    terms = []
     for t in anchors:
         sweep.advance_to(t)
-        for sid, result in sweep.step(t).items():
-            loss = sweep.loss_for(sid, t, result)
-            if loss is not None:
-                losses.append(float(loss.values))
-    return float(np.mean(losses)) if losses else None
+        got = sweep.loss_terms(t, sweep.step(t))
+        if got is not None:
+            terms.append(got)
+    return float(_mean_loss(cfg, terms)[0].values) if terms else None
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +689,9 @@ def rolling_forecast(params: ModelParams, panel: SeriesPanel, emit_from: int, se
     out = {}
     for t in anchors:
         sweep.advance_to(t)
-        results = sweep.step(t)
+        result = sweep.step(t)
         if t >= emit_from:
-            out[t] = {sid: sweep.emit(result) for sid, result in results.items()}
+            out[t] = sweep.emit(result)
     return out
 
 
@@ -627,11 +714,11 @@ def predict(params: ModelParams, panel: SeriesPanel, anchor: int, series=None):
         sweep.advance_to(t)
         sweep.step(t)
     sweep.advance_to(anchor)
-    results = sweep.step(anchor)
+    results = sweep.emit(sweep.step(anchor))
     missing = [sid for sid in series if sid not in results]
     if missing:
         raise DataError(f"series {missing} lack usable input windows at anchor {anchor}")
-    return {sid: sweep.emit(result) for sid, result in results.items()}
+    return results
 
 
 def ensemble_predict(members, panel: SeriesPanel, anchor: int, series=None):
@@ -684,7 +771,9 @@ def _config_from_meta(blocks: dict) -> tuple[TrainConfig, int, tuple]:
     if scalars.shape != (len(SCALAR_FIELDS) + 2,):
         raise DataError(f"meta.scalars holds shape {scalars.shape}, expected ({len(SCALAR_FIELDS) + 2},)")
     values = {name: kind(x) for (name, kind), x in zip(SCALAR_FIELDS.items(), scalars)}
-    values["context_mode"] = _MODE_NAMES[int(scalars[-2])]
+    if scalars[-2] not in _MODE_NAMES:
+        raise DataError(f"meta.scalars holds the unknown context-mode code {float(scalars[-2])!r}")
+    values["context_mode"] = _MODE_NAMES[scalars[-2]]
     n_series = int(scalars[-1])
     values["dilations"] = tuple(int(d) for d in meta("meta.dilations"))
     pairs = meta("meta.batch_schedule")
@@ -721,15 +810,20 @@ def save_model(params: ModelParams, path):
 
 
 def load_model(path) -> ModelParams:
-    """Read a model file; a truncated or padded file is a DataError."""
+    """Read a model file; a truncated, padded or malformed file is a DataError.
+
+    The parameter blocks must be exactly those ``init_model`` makes for the
+    stored config and series count, each of the shape it makes.
+    """
     if hasattr(path, "read"):
         data = path.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
+    data = memoryview(data)  # blocks are read in place and copied once, by _packed
     pos = 0
 
-    def take(size: int, what: str) -> bytes:
+    def take(size: int, what: str) -> memoryview:
         nonlocal pos
         if size > len(data) - pos:
             raise DataError(f"model file truncated: {what} needs {size} bytes, {len(data) - pos} remain")
@@ -745,13 +839,32 @@ def load_model(path) -> ModelParams:
     blocks = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "a block name's length"))
-        name = take(name_len, "a block name").decode("utf-8")
+        try:
+            name = bytes(take(name_len, "a block name")).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"model file has a block name that is not UTF-8 after {len(blocks)} blocks") from None
+        if name in blocks:
+            raise DataError(f"model file holds block {name} twice")
         (ndim,) = struct.unpack("<I", take(4, f"the rank of {name}"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"the shape of {name}"))
         payload = take(8 * math.prod(shape), f"the values of {name}")
-        blocks[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        blocks[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
     if pos != len(data):
         raise DataError(f"model file has {len(data) - pos} bytes after its last block")
     config, n_series, global_batch = _config_from_meta(blocks)
     arrays = {k: v for k, v in blocks.items() if not k.startswith("meta.")}
-    return ModelParams(config, n_series, global_batch, arrays)
+    stored = sum(arr.size for arr in arrays.values())
+    if not 0 < n_series <= stored:
+        raise DataError(f"model file is for {n_series} series but holds {stored} parameter values")
+    expected = _parameter_arrays(config, n_series, _Shapes(stored))
+    missing, extra = sorted(expected.keys() - arrays.keys()), sorted(arrays.keys() - expected.keys())
+    if missing:
+        raise DataError(f"model file lacks its {missing[0]} block")
+    if extra:
+        raise DataError(f"model file holds a block {extra[0]} that its config does not use")
+    for name, arr in sorted(arrays.items()):
+        if arr.shape != expected[name].shape:
+            raise DataError(f"block {name} has shape {arr.shape}, its config needs {expected[name].shape}")
+    if len(global_batch) != (0 if config.context_mode == "none" else config.context_batch):
+        raise DataError(f"model file lists {len(global_batch)} context series for K={config.context_batch}")
+    return ModelParams(config, n_series, global_batch, _packed(config, arrays))

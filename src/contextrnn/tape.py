@@ -18,12 +18,16 @@ import numpy as np
 __all__ = [
     "Tape",
     "Tensor",
+    "DomainError",
     "backward",
     "grad_check",
     "add",
     "sub",
     "mul",
+    "div",
     "matmul",
+    "transpose",
+    "gather",
     "concat",
     "slice_",
     "sigmoid",
@@ -41,22 +45,29 @@ __all__ = [
 ]
 
 
+class DomainError(ValueError):
+    """A primitive was applied outside its domain (the log of a non-positive value)."""
+
+
 class Node:
-    """One recorded primitive: op name, input node ids, saved output values."""
+    """One recorded primitive: op name and the pulls to its tracked inputs.
 
-    __slots__ = ("id", "op", "inputs", "values", "pulls")
+    A node keeps no output values of its own: whatever its pulls need they
+    capture, so an intermediate array nothing differentiates through is
+    freed as soon as the forward pass drops it.
+    """
 
-    def __init__(self, id, op, inputs, values, pulls):
+    __slots__ = ("id", "op", "pulls")
+
+    def __init__(self, id, op, pulls):
         self.id = id
         self.op = op
-        self.inputs = inputs
-        self.values = values
         # pulls: [(input node id, fn(grad_out) -> grad contribution)]
         self.pulls = pulls
 
 
 class Tape:
-    """Append-only record of primitives, plus the gradient map filled by backward.
+    """Append-only record of primitives.
 
     Node ids are list indices, so they are topologically ordered by
     construction.
@@ -64,17 +75,15 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self.gradients: dict[int, np.ndarray] = {}
 
     def leaf(self, values) -> "Tensor":
         """Register an independent variable and return its tracked tensor."""
-        arr = _as_array(values)
-        node = Node(len(self.nodes), "leaf", (), arr, ())
+        node = Node(len(self.nodes), "leaf", ())
         self.nodes.append(node)
-        return Tensor(arr, self, node.id)
+        return Tensor(values, self, node.id)
 
-    def _record(self, op, inputs, values, pulls):
-        node = Node(len(self.nodes), op, inputs, values, pulls)
+    def _record(self, op, pulls):
+        node = Node(len(self.nodes), op, pulls)
         self.nodes.append(node)
         return node.id
 
@@ -152,8 +161,7 @@ def _emit(op, out_values, tracked_pulls, tape):
     """Record a result if any input is tracked; otherwise return a constant."""
     if tape is None:
         return Tensor(out_values)
-    inputs = tuple(src for src, _ in tracked_pulls)
-    node = tape._record(op, inputs, out_values, tuple(tracked_pulls))
+    node = tape._record(op, tuple(tracked_pulls))
     return Tensor(out_values, tape, node)
 
 
@@ -209,11 +217,25 @@ def mul(a, b) -> Tensor:
     av, bv = a.values, b.values
     pulls = _pulls(
         [
-            (a, lambda g: _unbroadcast(g * bv, av.shape)),
-            (b, lambda g: _unbroadcast(g * av, bv.shape)),
+            # each pull holds only the other operand, so a constant factor keeps nothing else alive
+            (a, lambda g, s=av.shape: _unbroadcast(g * bv, s)),
+            (b, lambda g, s=bv.shape: _unbroadcast(g * av, s)),
         ]
     )
     return _emit("mul_elementwise", out, pulls, _common_tape((a, b)))
+
+
+def div(a, b) -> Tensor:
+    a, b = _tensor(a), _tensor(b)
+    av, bv = a.values, b.values
+    out = av / bv
+    pulls = _pulls(
+        [
+            (a, lambda g, s=av.shape: _unbroadcast(g / bv, s)),
+            (b, lambda g, s=bv.shape: _unbroadcast(-g * out / bv, s)),
+        ]
+    )
+    return _emit("div", out, pulls, _common_tape((a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +268,32 @@ def matmul(a, b) -> Tensor:
 
     pulls = _pulls([(a, pull_a), (b, pull_b)])
     return _emit("matmul", out, pulls, _common_tape((a, b)))
+
+
+def transpose(x) -> Tensor:
+    """Matrix transpose of a 2-D tensor (a view of its values)."""
+    x = _tensor(x)
+    if x.values.ndim != 2:
+        raise ValueError(f"transpose needs a 2-D operand, got {x.values.shape}")
+    out = x.values.T
+    return _emit("transpose", out, _pulls([(x, lambda g: g.T)]), x.tape)
+
+
+def gather(x, rows) -> Tensor:
+    """Rows ``x[rows]`` along the first axis; repeated rows add their gradients."""
+    x = _tensor(x)
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 1:
+        raise ValueError("gather takes a 1-D array of row indices")
+    out = x.values[rows]
+    xshape = x.values.shape
+
+    def pull(g):
+        full = np.zeros(xshape)
+        np.add.at(full, rows, g)
+        return full
+
+    return _emit("gather", out, _pulls([(x, pull)]), x.tape)
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -302,7 +350,9 @@ def reshape(x, shape) -> Tensor:
 def sigmoid(x) -> Tensor:
     x = _tensor(x)
     v = x.values
-    out = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    e = np.exp(-np.abs(v))  # 1/(1+e) where v >= 0, e/(1+e) below: no overflow either way
+    out = np.where(v >= 0, 1.0, e)
+    out /= 1.0 + e
     pulls = _pulls([(x, lambda g: g * out * (1.0 - out))])
     return _emit("sigmoid", out, pulls, x.tape)
 
@@ -324,7 +374,7 @@ def exp(x) -> Tensor:
 def log(x) -> Tensor:
     x = _tensor(x)
     if np.any(x.values <= 0.0):
-        raise ValueError("log requires strictly positive inputs")
+        raise DomainError("log requires strictly positive inputs")
     out = np.log(x.values)
     xv = x.values
     pulls = _pulls([(x, lambda g: g / xv)])
@@ -334,7 +384,7 @@ def log(x) -> Tensor:
 def relu(x) -> Tensor:
     x = _tensor(x)
     out = np.maximum(x.values, 0.0)
-    gate = (x.values > 0.0).astype(np.float64)
+    gate = x.values > 0.0
     pulls = _pulls([(x, lambda g: g * gate)])
     return _emit("relu", out, pulls, x.tape)
 
@@ -343,7 +393,7 @@ def clip(x, lo, hi) -> Tensor:
     """Hard clamp; gradient passes through wherever lo <= x <= hi."""
     x = _tensor(x)
     out = np.clip(x.values, lo, hi)
-    gate = ((x.values >= lo) & (x.values <= hi)).astype(np.float64)
+    gate = (x.values >= lo) & (x.values <= hi)
     pulls = _pulls([(x, lambda g: g * gate)])
     return _emit("clip", out, pulls, x.tape)
 
@@ -467,8 +517,12 @@ def conv1d_pointwise(kernels, x) -> Tensor:
 def backward(loss: Tensor) -> dict[int, np.ndarray]:
     """Propagate gradients of a scalar loss to every reachable tape node.
 
-    Returns the tape's gradient map (node id -> gradient array). The loss's
-    own gradient is 1; gradients of shared subexpressions accumulate.
+    Returns the gradients (node id -> array) of the loss, which is 1, and
+    of every leaf it reaches; gradients of shared subexpressions
+    accumulate. The pass consumes the tape: a node's pulls, and the arrays
+    they hold, are released once run, and an interior node's gradient once
+    passed on, so memory falls as the pass proceeds. A second pass over
+    the same nodes is an error.
     """
     if loss.tape is None or loss.node is None:
         raise ValueError("loss is not recorded on a tape")
@@ -477,14 +531,18 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     tape = loss.tape
     grads: dict[int, np.ndarray] = {loss.node: np.ones_like(loss.values)}
     for node in reversed(tape.nodes[: loss.node + 1]):
-        g = grads.get(node.id)
+        pulls, node.pulls = node.pulls, None
+        if pulls is None:
+            raise ValueError("backward already ran over this tape")
+        if not pulls:  # a leaf keeps its gradient
+            continue
+        g = grads.get(node.id) if node.id == loss.node else grads.pop(node.id, None)
         if g is None:
             continue
-        for src, pull in node.pulls:
+        for src, pull in pulls:
             contribution = pull(g)
             seen = grads.get(src)
             grads[src] = contribution if seen is None else seen + contribution
-    tape.gradients = grads
     return grads
 
 

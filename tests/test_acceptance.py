@@ -28,6 +28,7 @@ from contextrnn.model import (
     _Sweep,
     _Views,
     _anchor_grid,
+    _mean_loss,
     init_model,
     pinball,
     total_loss,
@@ -107,14 +108,13 @@ def _tiny_model_loss_fn():
         views = _Views(template, leafs=dict(zip(names, tensors)))
         sweep = _Sweep(panel, template, [0, 1])
         sweep.set_views(views)
-        losses = []
+        terms = []
         for t in anchors:
             sweep.advance_to(t)
-            for sid, res in sweep.step(t).items():
-                loss = sweep.loss_for(sid, t, res)
-                if loss is not None:
-                    losses.append(tp.reshape(loss, (1,)))
-        return tp.mean(tp.concat(losses))
+            got = sweep.loss_terms(t, sweep.step(t))
+            if got is not None:
+                terms.append(got)
+        return _mean_loss(cfg, terms)[0]
 
     return f, [template.arrays[n] for n in names]
 

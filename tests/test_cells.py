@@ -12,6 +12,7 @@ from contextrnn.cells import (
     embed_calendar,
     init_cell_arrays,
     new_stack_states,
+    stack_rows,
     stack_step,
     wdrnn_cell_forward,
 )
@@ -270,3 +271,27 @@ class TestCalendarEmbedding:
     def test_malformed_onehot(self):
         with pytest.raises(ValueError, match="one-hot"):
             embed_calendar(np.ones(74), Tensor(np.zeros((74, 8))))
+
+
+class TestStackRows:
+    def test_packed_blocks_stack_as_a_view(self):
+        buffer = np.arange(24.0).reshape(8, 3)
+        parts = [Tensor(block) for block in np.split(buffer, 4)]
+        stacked = stack_rows(parts)
+        np.testing.assert_array_equal(stacked.values, buffer)
+        assert np.shares_memory(stacked.values, buffer)
+
+    def test_anything_else_is_copied(self):
+        buffer = np.arange(24.0).reshape(8, 3)
+        blocks = np.split(buffer, 4)
+        cases = [
+            [Tensor(b) for b in reversed(blocks)],  # out of order
+            [Tensor(b) for b in blocks[:3]],  # not the whole buffer
+            [Tensor(b.copy()) for b in blocks],  # separate arrays
+        ]
+        tape = Tape()
+        cases.append([tape.leaf(b) for b in blocks])  # tracked: gradients must reach each part
+        for parts in cases:
+            stacked = stack_rows(parts)
+            np.testing.assert_array_equal(stacked.values, np.concatenate([p.values for p in parts]))
+            assert not np.shares_memory(stacked.values, buffer)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from contextrnn import model as model_module
 from contextrnn.cli import run_cli
-from contextrnn.data import load_panel
+from contextrnn.config import SCALAR_FIELDS
+from contextrnn.data import SeriesPanel, load_panel, write_panel_csv
 from contextrnn.metrics import EvalReport, forecast_matrices
-from contextrnn.model import load_model
+from contextrnn.model import load_model, save_model
 
 TINY_CONFIG = """
 # desk-scale run
@@ -264,3 +266,101 @@ class TestAblate:
         assert modes == ["full", "global", "none"]
         for line in out:
             float(line.split()[1])
+
+
+class TestMalformedModelFile:
+    """A model file whose blocks do not fit its own config is a data error, reported in one line."""
+
+    @pytest.fixture()
+    def trained(self, four_series_model):
+        return load_model(four_series_model)
+
+    def assert_data_error(self, path, data, capsys, match):
+        capsys.readouterr()
+        assert run_cli(["evaluate", "--model", str(path), "--data", str(data)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and match in err[0], err
+
+    def saved(self, params, tmp_path):
+        path = tmp_path / "edited.bin"
+        save_model(params, str(path))
+        return path
+
+    def test_block_name_not_utf8(self, workspace, four_series_model, tmp_path, capsys):
+        raw = bytearray(four_series_model.read_bytes())
+        raw[14] = 0xFF  # the first byte of the first block name
+        path = tmp_path / "name.bin"
+        path.write_bytes(bytes(raw))
+        self.assert_data_error(path, workspace[2], capsys, "UTF-8")
+
+    def test_unknown_context_mode_code(self, workspace, trained, tmp_path, capsys, monkeypatch):
+        write_meta = model_module._meta_blocks
+
+        def mode_seven(params):
+            blocks = write_meta(params)
+            blocks["meta.scalars"][-2] = 7.0
+            return blocks
+
+        monkeypatch.setattr(model_module, "_meta_blocks", mode_seven)
+        self.assert_data_error(self.saved(trained, tmp_path), workspace[2], capsys, "context-mode code 7.0")
+
+    @pytest.mark.parametrize("slot, value", [("hidden_width", 1e11), ("n_series", 1e12)])
+    def test_config_larger_than_the_file(self, workspace, trained, tmp_path, capsys, monkeypatch, slot, value):
+        # refused before any array of the claimed size is built
+        write_meta = model_module._meta_blocks
+        index = list(SCALAR_FIELDS).index(slot) if slot in SCALAR_FIELDS else -1
+
+        def huge(params):
+            blocks = write_meta(params)
+            blocks["meta.scalars"][index] = value
+            return blocks
+
+        monkeypatch.setattr(model_module, "_meta_blocks", huge)
+        self.assert_data_error(self.saved(trained, tmp_path), workspace[2], capsys, "holds")
+
+    def test_missing_parameter_block(self, workspace, trained, tmp_path, capsys):
+        del trained.arrays["head_w"]
+        self.assert_data_error(self.saved(trained, tmp_path), workspace[2], capsys, "lacks its head_w block")
+
+    def test_extra_parameter_block(self, workspace, trained, tmp_path, capsys):
+        trained.arrays["layer9.top.W_f"] = np.zeros((2, 2))
+        self.assert_data_error(self.saved(trained, tmp_path), workspace[2], capsys, "layer9.top.W_f")
+
+    def test_parameter_block_of_wrong_shape(self, workspace, trained, tmp_path, capsys):
+        trained.arrays["layer0.bottom.W_u"] = trained.arrays["layer0.bottom.W_u"][:, 1:]
+        self.assert_data_error(self.saved(trained, tmp_path), workspace[2], capsys, "layer0.bottom.W_u has shape")
+
+
+class TestDivergenceExitCode:
+    """Training that leaves finite arithmetic ends in exit code 3 with one line, not a traceback."""
+
+    @pytest.fixture()
+    def cmap(self, tmp_path):
+        path = tmp_path / "ctx.map"
+        path.write_text("0: 1,2\n1: 0,2\n2: 0,1\n3: 0,1\nGLOBAL: 0,1\n")
+        return path
+
+    def assert_diverged(self, argv, capsys, match):
+        capsys.readouterr()
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("training diverged:") and match in err[0], err
+
+    def test_non_finite_gradient(self, workspace, cmap, tmp_path, capsys, monkeypatch):
+        _root, config, data = workspace
+        real_backward = model_module.backward
+        monkeypatch.setattr(model_module, "backward", lambda loss: {k: g * np.nan for k, g in real_backward(loss).items()})
+        self.assert_diverged(["train", "--data", str(data), "--map", str(cmap), "--config", str(config),
+                              "--out", str(tmp_path / "m.bin")], capsys, "non-finite gradient")
+
+    def test_log_of_non_positive_value(self, workspace, cmap, tmp_path, capsys):
+        _root, config, data = workspace
+        panel = load_panel(str(data))
+        values = panel.values.copy()
+        values[3, 0] = 1e300  # series 3's seasonal factors underflow to 0 in the warm-up
+        values[3, 1:] = 1e-300
+        extreme = tmp_path / "extreme.csv"
+        write_panel_csv(SeriesPanel(values, panel.timestamps, panel.mask, panel.frequency), str(extreme))
+        with np.errstate(divide="ignore"):
+            self.assert_diverged(["train", "--data", str(extreme), "--map", str(cmap), "--config",
+                                  str(config), "--out", str(tmp_path / "m.bin")], capsys, "strictly positive")

@@ -126,15 +126,16 @@ class TestWindows:
         panel = synth_generate(SynthSpec(n=2, T=40, seasonal_period=4), seed=8)
         cfg = TrainConfig(window=8, horizon=2, period=4, dilations=(1,), context_mode="none")
         params = init_model(cfg, panel.n, None)
-        sweep = _Sweep(panel, params, [1])
+        sweep = _Sweep(panel, params, [1, 0])
         sweep.set_views(_Views(params))
         sweep.advance_to(20)
-        state = sweep.main_states[1]
-        x_in, z_bar, usable = sweep._window(state, 1, 20)
-        assert usable and z_bar == pytest.approx(panel.values[1, 12:20].mean())
-        factors = np.concatenate([np.ravel(f.values) for f in state.factors[-8:]])
-        expected = preprocess_window(panel.values[1, 12:20], z_bar, factors)
-        np.testing.assert_allclose(x_in.values, expected, rtol=1e-12, atol=1e-12)
+        x_in, z_bar, usable = sweep._window(sweep.main, 20)
+        factors = np.concatenate([f.values for f in sweep.main.factors[-8:]], axis=1)
+        assert x_in.values.shape == factors.shape == (2, 8)
+        for row, sid in enumerate([1, 0]):
+            assert usable[row] and z_bar[row] == pytest.approx(panel.values[sid, 12:20].mean())
+            expected = preprocess_window(panel.values[sid, 12:20], z_bar[row], factors[row])
+            np.testing.assert_allclose(x_in.values[row], expected, rtol=1e-12, atol=1e-12)
 
 
 class TestCalendar:

@@ -63,6 +63,16 @@ def tiny_map(n=4, K=2):
     return ContextMap(per_target, tuple(range(K)), S=2, K=K)
 
 
+def underflowing_panel():
+    from contextrnn.data import SeriesPanel
+
+    base = tiny_panel()
+    values = base.values.copy()
+    values[3, 0] = 1e300
+    values[3, 1:] = 1e-300
+    return SeriesPanel(values, base.timestamps, base.mask, base.frequency)
+
+
 class TestPinball:
     def test_perfect_forecast(self):
         assert pinball(2.0, 2.0, 0.5).item() == 0.0
@@ -290,6 +300,22 @@ class TestTraining:
         with pytest.raises(DivergenceError), np.errstate(over="ignore", invalid="ignore"):
             train(tiny_panel(), tiny_map(), cfg)
 
+    def test_non_finite_gradient_raises(self, monkeypatch):
+        # a finite loss whose gradient is not finite must stop training before Adam moves anything
+        real_backward = model.backward
+        steps = []
+        monkeypatch.setattr(model, "backward", lambda loss: {k: g * np.inf for k, g in real_backward(loss).items()})
+        monkeypatch.setattr(model.Adam, "step", lambda self, grads, lr: steps.append(lr))
+        with pytest.raises(DivergenceError, match="gradient"), np.errstate(invalid="ignore"):
+            train(tiny_panel(), tiny_map(), tiny_config(epochs=1))
+        assert steps == []
+
+    def test_log_of_non_positive_value_raises(self):
+        # a warm-up level 1e600 times the series' other values makes seasonal factors underflow to 0
+        with np.errstate(divide="ignore"):
+            with pytest.raises(DivergenceError, match="positive"):
+                train(underflowing_panel(), tiny_map(), tiny_config(epochs=1))
+
     def test_ensemble_train_members_are_independent_seeds(self, tmp_path):
         # `contextrnn train` with ensemble = 2 writes members seeded seed + 0 and seed + 1
         data, cmap, config = tmp_path / "panel.csv", tmp_path / "ctx.map", tmp_path / "run.cfg"
@@ -394,6 +420,17 @@ class TestSerialization:
         b = predict(again, panel, anchor=60)
         for sid in a:
             np.testing.assert_array_equal(a[sid][0], b[sid][0])
+
+    def test_gates_are_packed_and_fused_without_copies(self):
+        # a forward-only sweep holds each cell's weights once: its fused matrices view the model's buffers
+        buf = io.BytesIO()
+        save_model(init_model(tiny_config(), 4, tiny_map()), buf)
+        for params in (init_model(tiny_config(), 4, tiny_map()), load_model(io.BytesIO(buf.getvalue()))):
+            for bottom, top in model._Views(params).layers:
+                for cell in (bottom, top):
+                    for kind in ("W", "V", "U"):
+                        assert np.shares_memory(getattr(cell, kind).values, getattr(cell, f"{kind}_f").values)
+                    assert np.shares_memory(cell.b.values, cell.b_c.values)
 
     def test_golden_file(self):
         # pins the block layout, the meta.scalars order and the init draw order

@@ -99,6 +99,15 @@ class TestBackward:
         unrolled = g2[x1.node] + g2[x2.node]
         assert shared == pytest.approx(unrolled)
 
+    def test_backward_consumes_the_tape(self):
+        t = Tape()
+        x = t.leaf(np.array(3.0))
+        loss = tp.mul(x, x)
+        assert backward(loss)[x.node] == pytest.approx(6.0)
+        assert all(node.pulls is None for node in t.nodes)  # captured arrays released
+        with pytest.raises(ValueError, match="already"):
+            backward(loss)
+
     def test_conv_kernel_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 8))
@@ -154,18 +163,27 @@ class TestGradCheck:
 
 
 #: every exported primitive: the module's exports minus the engine itself
-PRIMITIVE_NAMES = sorted(set(tp.__all__) - {"Tape", "Tensor", "backward", "grad_check"})
+PRIMITIVE_NAMES = sorted(set(tp.__all__) - {"Tape", "Tensor", "DomainError", "backward", "grad_check"})
 
 
 def _random_case(op, rng):
     """Build (function, params) exercising one primitive with random shapes."""
     size = int(rng.integers(2, 7))
     fn = getattr(tp, op)
-    if op in ("add", "sub", "mul", "hypot", "atan2"):
-        # keep magnitudes in [0.5, 2] so atan2/hypot stay away from the origin
+    if op in ("add", "sub", "mul", "div", "hypot", "atan2"):
+        # keep magnitudes in [0.5, 2] so atan2/hypot stay away from the origin and div from a pole
         a = rng.uniform(0.5, 2.0, size) * rng.choice([-1.0, 1.0], size)
         b = rng.uniform(0.5, 2.0, size) * rng.choice([-1.0, 1.0], size)
         return lambda p: tp.mean(tp.tanh(fn(p[0], p[1]))), [a, b]
+    if op == "transpose":
+        a = rng.normal(size=(size, size + 1))
+        weights = rng.normal(size=(size + 1, size))
+        return lambda p: tp.mean(tp.mul(tp.transpose(p[0]), Tensor(weights))), [a]
+    if op == "gather":
+        a = rng.normal(size=(size, 3))
+        rows = rng.integers(0, size, size + 2)  # repeats accumulate
+        weights = rng.normal(size=(size + 2, 3))
+        return lambda p: tp.mean(tp.mul(tp.gather(p[0], rows), Tensor(weights))), [a]
     if op == "matmul":
         m, n, k = (int(rng.integers(1, 4)) for _ in range(3))
         a, b = rng.normal(size=(m, n)), rng.normal(size=(n, k))
@@ -208,8 +226,8 @@ def _random_case(op, rng):
     raise AssertionError(op)
 
 
-def test_eighteen_primitives_are_exported():
-    assert len(PRIMITIVE_NAMES) == 18
+def test_twenty_one_primitives_are_exported():
+    assert len(PRIMITIVE_NAMES) == 21
 
 
 @pytest.mark.parametrize("op", PRIMITIVE_NAMES)
@@ -225,6 +243,16 @@ class TestDispatchAndChecks:
     def test_log_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             tp.log(Tensor([1.0, 0.0]))
+        with pytest.raises(tp.DomainError):
+            tp.log(Tensor([-1.0]))
+
+    def test_gather_and_transpose_values(self):
+        x = np.arange(12.0).reshape(4, 3)
+        np.testing.assert_array_equal(tp.gather(Tensor(x), [2, 0, 2]).values, x[[2, 0, 2]])
+        np.testing.assert_array_equal(tp.transpose(Tensor(x)).values, x.T)
+        np.testing.assert_array_equal(tp.div(Tensor(x), 2.0).values, x / 2.0)
+        with pytest.raises(ValueError, match="2-D"):
+            tp.transpose(Tensor(np.ones(3)))
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
