@@ -9,9 +9,9 @@ share one width.
 
 Inputs and states carry features on their last axis, so a ``(B, width)``
 batch of series runs through the same ops as a single ``(width,)`` input
-and records the same tape nodes. Each cell fuses its four gates per kind
-into one ``(in, 4·out)`` matrix when its parameters are bound, so a step
-is three matrix products.
+and records the same tape nodes. A cell stores its four gates per kind
+as one ``(4·out, in)`` matrix, as ``torch.nn.LSTM`` does, so a step is
+three matrix products.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "stack_step",
     "new_stack_states",
     "blend_rows",
-    "stack_rows",
     "embed_calendar",
     "init_cell_arrays",
     "CELL_FIELDS",
@@ -38,77 +37,58 @@ __all__ = [
 
 GATE_NAMES = ("f", "u", "o", "c")
 
-CELL_FIELDS = tuple(
-    f"{kind}_{gate}" for kind in ("W", "V", "U") for gate in GATE_NAMES
-) + tuple(f"b_{gate}" for gate in GATE_NAMES)
+CELL_FIELDS = ("W", "V", "U", "b")
 
 
 class DRNNCellParams:
     """Gate weights of one dilated cell.
 
-    W_* map the input, V_* the recent controlling state, U_* the dilated
-    controlling state; b_* are biases. ``s_m`` > 0 marks a splitting
-    (bottom) cell whose output divides into m (first s_m slots) and the
-    controlling state h (next s_h slots); with ``s_m`` == 0 the full
-    output serves as both y and h.
-
-    ``W``, ``V`` and ``U`` are the four gates of each kind fused into one
-    ``(in, 4·out)`` matrix (columns in f, u, o, c order) and ``b`` the
-    fused bias; they are built once, on the tape of the gate tensors.
+    ``W`` maps the input, ``V`` the recent controlling state and ``U`` the
+    dilated controlling state; ``b`` is the bias. Each holds the four gates
+    as row blocks in f, u, o, c order: ``W`` is ``(4·out, in)``, ``V`` and
+    ``U`` are ``(4·out, h)`` and ``b`` is ``(4·out,)``. The matrices are
+    kept as their transposes, one view each, so a step multiplies by them
+    from the right. ``s_m`` > 0 marks a splitting (bottom) cell whose output
+    divides into m (first s_m slots) and the controlling state h (next s_h
+    slots); with ``s_m`` == 0 the full output serves as both y and h.
     """
 
-    __slots__ = CELL_FIELDS + ("s_m", "s_h", "W", "V", "U", "b")
+    __slots__ = ("s_m", "s_h") + CELL_FIELDS
 
-    def __init__(self, s_m: int, s_h: int, **tensors):
+    def __init__(self, s_m: int, s_h: int, W: Tensor, V: Tensor, U: Tensor, b: Tensor):
         self.s_m = s_m
         self.s_h = s_h
-        for name in CELL_FIELDS:
-            setattr(self, name, tensors[name])
-        out = self.W_f.values.shape[0]
+        self.W, self.V, self.U = (tp.transpose(m) for m in (W, V, U))
+        self.b = b
+        out = self.out_width
         if s_m and out != s_m + s_h:
             raise ValueError(f"split cell output width {out} != s_m + s_h = {s_m + s_h}")
-        for kind in ("W", "V", "U"):
-            setattr(self, kind, tp.transpose(stack_rows([getattr(self, f"{kind}_{gate}") for gate in GATE_NAMES])))
-        self.b = stack_rows([getattr(self, f"b_{gate}") for gate in GATE_NAMES])
 
     @property
     def out_width(self) -> int:
-        return self.W_f.values.shape[0]
+        return self.b.values.shape[0] // len(GATE_NAMES)
 
     @property
     def in_width(self) -> int:
-        return self.W_f.values.shape[1]
+        return self.W.values.shape[0]
 
 
 def init_cell_arrays(rng, in_width: int, out_width: int, h_width: int) -> dict:
-    """Uniform ±1/sqrt(fan_in) weights per matrix, zero biases."""
+    """Uniform ±1/sqrt(fan_in) weights per gate matrix, zero biases.
+
+    Gates are drawn one after another, W, V and U of each, in the order the
+    model file format fixes, and stacked into the fused arrays.
+    """
     def uniform(rows, cols):
         bound = 1.0 / np.sqrt(cols)
         return rng.uniform(-bound, bound, (rows, cols))
 
-    arrays = {}
-    for gate in GATE_NAMES:
-        arrays[f"W_{gate}"] = uniform(out_width, in_width)
-        arrays[f"V_{gate}"] = uniform(out_width, h_width)
-        arrays[f"U_{gate}"] = uniform(out_width, h_width)
-        arrays[f"b_{gate}"] = np.zeros(out_width)
+    draws = [
+        (uniform(out_width, in_width), uniform(out_width, h_width), uniform(out_width, h_width)) for _ in GATE_NAMES
+    ]
+    arrays = {kind: np.concatenate(blocks) for kind, blocks in zip(("W", "V", "U"), zip(*draws))}
+    arrays["b"] = np.zeros(len(GATE_NAMES) * out_width)
     return arrays
-
-
-def stack_rows(parts) -> Tensor:
-    """The parts stacked by rows, as ``tp.concat`` on axis 0.
-
-    Untracked parts that are already consecutive row blocks of one buffer,
-    as a model lays out its gates, stack as a view of that buffer.
-    """
-    base = parts[0].values.base
-    if base is not None and base.flags.c_contiguous and all(p.node is None and p.values.base is base for p in parts):
-        start = base.__array_interface__["data"][0]
-        ends = np.cumsum([p.values.nbytes for p in parts])
-        starts = [p.values.__array_interface__["data"][0] - start for p in parts]
-        if starts == [0, *ends[:-1]] and ends[-1] == base.nbytes and all(p.values.flags.c_contiguous for p in parts):
-            return Tensor(base.reshape((-1,) + parts[0].values.shape[1:]))
-    return tp.concat(parts)
 
 
 def blend_rows(take, new: Tensor, old: Tensor) -> Tensor:

@@ -38,6 +38,11 @@ class UsageError(Exception):
     pass
 
 
+#: synth flags, also the keys of a synth spec file: (type, default) of each
+_SYNTH_FIELDS = {"n": (int, 4), "t": (int, 400), "edges": (str, ""), "coupling": (float, 1.0), "lag": (int, 1),
+                 "noise": (float, 0.1), "period": (int, 24), "seed": (int, 0)}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -83,14 +88,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="write a synthetic coupled panel")
     p.add_argument("--spec", help="flat key = value spec file (flags override)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--edges", help="driver-driven pairs, e.g. 0-1,0-2:-1.5")
-    p.add_argument("--coupling", type=float)
-    p.add_argument("--lag", type=int)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--period", type=int)
-    p.add_argument("--seed", type=int)
+    for key, (kind, _default) in _SYNTH_FIELDS.items():
+        p.add_argument(f"--{key}", type=kind, help="driver-driven pairs, e.g. 0-1,0-2:-1.5" if key == "edges" else None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ablate", help="train and score full / global-context / no-context variants")
@@ -117,10 +116,11 @@ def _parse_edges(text: str):
         if not token:
             continue
         pair, _, weight = token.partition(":")
-        a, sep, b = pair.partition("-")
-        if not sep:
-            raise UsageError(f"edge {token!r} is not DRIVER-DRIVEN[:WEIGHT]")
-        edges.append((int(a), int(b), float(weight)) if weight else (int(a), int(b)))
+        try:
+            a, b = pair.split("-")
+            edges.append((int(a), int(b), float(weight)) if weight else (int(a), int(b)))
+        except ValueError:
+            raise UsageError(f"edge {token!r} is not DRIVER-DRIVEN[:WEIGHT]") from None
     return tuple(edges)
 
 
@@ -168,7 +168,10 @@ def _cmd_predict(args) -> int:
     anchor = args.anchor if args.anchor is not None else panel.T
     series = None
     if args.series:
-        series = [int(tok) for tok in args.series.split(",") if tok.strip()]
+        try:
+            series = [int(tok) for tok in args.series.split(",") if tok.strip()]
+        except ValueError:
+            raise UsageError(f"--series {args.series!r} is not a comma-separated list of series ids") from None
     forecasts = ensemble_predict(members, panel, anchor, series)
     rows = []
     last_stamp = panel.timestamps[anchor - 1]
@@ -191,14 +194,8 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-_SYNTH_DEFAULTS = {"n": 4, "t": 400, "edges": "", "coupling": 1.0, "lag": 1,
-                   "noise": 0.1, "period": 24, "seed": 0}
-_SYNTH_TYPES = {"n": int, "t": int, "edges": str, "coupling": float, "lag": int,
-                "noise": float, "period": int, "seed": int}
-
-
 def _synth_values(args) -> dict:
-    values = dict(_SYNTH_DEFAULTS)
+    values = {key: default for key, (_kind, default) in _SYNTH_FIELDS.items()}
     if args.spec:
         with open(args.spec) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -207,10 +204,13 @@ def _synth_values(args) -> dict:
                     continue
                 key, sep, value = body.partition("=")
                 key = key.strip()
-                if not sep or key not in _SYNTH_TYPES:
+                if not sep or key not in _SYNTH_FIELDS:
                     raise DataError(f"bad synth spec line {lineno}: {line!r}")
-                values[key] = _SYNTH_TYPES[key](value.strip())
-    for key in _SYNTH_DEFAULTS:
+                try:
+                    values[key] = _SYNTH_FIELDS[key][0](value.strip())
+                except ValueError:
+                    raise DataError(f"bad synth spec value on line {lineno}: {line!r}") from None
+    for key in _SYNTH_FIELDS:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag

@@ -100,18 +100,21 @@ _SCHEDULE_FIELDS = {"batch_schedule", "lr_schedule"}
 
 def _parse_value(name: str, text: str):
     text = text.strip()
-    if name in SCALAR_FIELDS:
-        return SCALAR_FIELDS[name](text)
-    if name == "dilations":
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    if name in _SCHEDULE_FIELDS:
-        sched = {}
-        for pair in text.split(","):
-            if not pair.strip():
-                continue
-            epoch, _, value = pair.partition(":")
-            sched[int(epoch)] = float(value) if name == "lr_schedule" else int(value)
-        return sched
+    try:
+        if name in SCALAR_FIELDS:
+            return SCALAR_FIELDS[name](text)
+        if name == "dilations":
+            return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        if name in _SCHEDULE_FIELDS:
+            sched = {}
+            for pair in text.split(","):
+                if not pair.strip():
+                    continue
+                epoch, _, value = pair.partition(":")
+                sched[int(epoch)] = float(value) if name == "lr_schedule" else int(value)
+            return sched
+    except ValueError:
+        raise DataError(f"config key {name!r} has a malformed value {text!r}") from None
     if name == "context_mode":
         return text
     raise DataError(f"unknown config key {name!r}")

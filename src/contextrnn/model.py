@@ -183,7 +183,7 @@ class ModelParams:
         return tuple(self.arrays)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, self.n_series, self.global_batch, _packed(self.config, self.arrays))
+        return ModelParams(self.config, self.n_series, self.global_batch, {k: a.copy() for k, a in self.arrays.items()})
 
 
 def _layer_widths(config: TrainConfig):
@@ -209,33 +209,15 @@ def init_model(config: TrainConfig, n_series: int, context_map: ContextMap | Non
         global_batch = ()
 
     arrays = _parameter_arrays(config, n_series, np.random.default_rng(config.seed))
-    return ModelParams(config, n_series, tuple(global_batch), _packed(config, arrays))
-
-
-def _packed(config: TrainConfig, arrays: dict) -> dict:
-    """Owned float64 copies of ``arrays``, the cells' gates packed.
-
-    Each cell's four gate arrays of one kind are copied into consecutive
-    row blocks of one buffer, so the fused gate matrix of a forward-only
-    sweep is a view of that buffer (:func:`cells.stack_rows`) and the
-    weights are held once.
-    """
-    out = {}
-    for i in range(len(config.dilations)):
-        for part in ("bottom", "top"):
-            for kind in ("W", "V", "U", "b"):
-                names = [f"layer{i}.{part}.{kind}_{gate}" for gate in GATE_NAMES]
-                blocks = np.split(np.concatenate([arrays[name] for name in names]), len(names))
-                out.update(zip(names, blocks))
-    return {name: out[name] if name in out else np.array(arr, dtype=np.float64) for name, arr in arrays.items()}
+    return ModelParams(config, n_series, tuple(global_batch), arrays)
 
 
 class _Shapes:
-    """Stands in for the generator where only the parameter shapes are wanted.
+    """Stands in for the generator where zeroed arrays of the parameter shapes are wanted.
 
-    Draws are zero-strided views, and a config that asks for more drawn
-    values than ``budget`` fails before they are allocated, so a model
-    file cannot make its reader build arrays larger than the file.
+    A config that asks for more drawn values than ``budget`` fails before
+    they are allocated, so a model file cannot make its reader build arrays
+    larger than the file.
     """
 
     def __init__(self, budget: int):
@@ -245,7 +227,7 @@ class _Shapes:
         self.left -= math.prod(size)
         if self.left < 0:
             raise DataError("model file's config asks for more parameters than the file holds")
-        return np.broadcast_to(np.float64(0.0), size)
+        return np.zeros(size)
 
 
 def _parameter_arrays(config: TrainConfig, n_series: int, rng) -> dict:
@@ -600,7 +582,7 @@ def train(
     order_rng = np.random.default_rng([cfg.seed, 0xBA7C])
     log: list[EpochStats] = []
     best_val = math.inf
-    best_arrays = None
+    best = None
 
     for epoch in range(1, cfg.epochs + 1):
         scheduled = cfg.batch_size_at(epoch)
@@ -647,10 +629,8 @@ def train(
         log.append(EpochStats(epoch, scheduled, batch_size, lr, train_loss, val_loss, updates))
         if val_loss is not None and val_loss < best_val:
             best_val = val_loss
-            best_arrays = _packed(cfg, params.arrays)
-    if best_arrays is not None:
-        params = ModelParams(cfg, params.n_series, params.global_batch, best_arrays)
-    return params, log
+            best = params.copy()
+    return (params if best is None else best), log
 
 
 def validation_loss(params: ModelParams, panel: SeriesPanel) -> float | None:
@@ -674,6 +654,26 @@ def validation_loss(params: ModelParams, panel: SeriesPanel) -> float | None:
 # prediction
 
 
+def _forecasts(params: ModelParams, panel: SeriesPanel, series, anchors, emit_from: int) -> dict:
+    """{anchor: {sid: (median, lower, upper)}} of a forward-only sweep, at the anchors >= emit_from.
+
+    The model is fixed here, so a logarithm of a non-positive seasonal
+    factor comes from the panel's values: a DataError.
+    """
+    sweep = _Sweep(panel, params, series)
+    sweep.set_views(_Views(params, tape=None))
+    out = {}
+    try:
+        for t in anchors:
+            sweep.advance_to(t)
+            result = sweep.step(t)
+            if t >= emit_from:
+                out[t] = sweep.emit(result)
+    except DomainError as exc:
+        raise DataError(f"the panel's seasonal factors leave the positive range ({exc})") from exc
+    return out
+
+
 def rolling_forecast(params: ModelParams, panel: SeriesPanel, emit_from: int, series=None):
     """Forward sweep emitting (median, lower, upper) at every grid anchor >= emit_from.
 
@@ -684,15 +684,7 @@ def rolling_forecast(params: ModelParams, panel: SeriesPanel, emit_from: int, se
     anchors = _anchor_grid(panel, cfg, for_training=False)
     if not anchors:
         raise DataError("panel leaves no room for the input window")
-    sweep = _Sweep(panel, params, series)
-    sweep.set_views(_Views(params, tape=None))
-    out = {}
-    for t in anchors:
-        sweep.advance_to(t)
-        result = sweep.step(t)
-        if t >= emit_from:
-            out[t] = sweep.emit(result)
-    return out
+    return _forecasts(params, panel, series, anchors, emit_from)
 
 
 def predict(params: ModelParams, panel: SeriesPanel, anchor: int, series=None):
@@ -708,13 +700,7 @@ def predict(params: ModelParams, panel: SeriesPanel, anchor: int, series=None):
         )
     series = list(range(panel.n)) if series is None else list(series)
     grid = [t for t in _anchor_grid(panel, cfg, for_training=False) if t < anchor]
-    sweep = _Sweep(panel, params, series)
-    sweep.set_views(_Views(params, tape=None))
-    for t in grid:
-        sweep.advance_to(t)
-        sweep.step(t)
-    sweep.advance_to(anchor)
-    results = sweep.emit(sweep.step(anchor))
+    results = _forecasts(params, panel, series, grid + [anchor], anchor)[anchor]
     missing = [sid for sid in series if sid not in results]
     if missing:
         raise DataError(f"series {missing} lack usable input windows at anchor {anchor}")
@@ -784,9 +770,27 @@ def _config_from_meta(blocks: dict) -> tuple[TrainConfig, int, tuple]:
     return TrainConfig(**values), n_series, global_batch
 
 
+def _file_blocks(arrays: dict) -> dict:
+    """The model file's blocks of ``arrays``, as views of them.
+
+    A cell's fused ``W``, ``V``, ``U`` and ``b`` each give four row blocks,
+    one per gate, named ``….W_f`` to ``….b_c``; every other array is one
+    block under its own name.
+    """
+    blocks = {}
+    for name, arr in arrays.items():
+        cell, _, field = name.rpartition(".")
+        if cell.startswith("layer") and field in CELL_FIELDS:
+            rows = np.split(arr, len(GATE_NAMES))
+            blocks.update((f"{name}_{gate}", block) for gate, block in zip(GATE_NAMES, rows))
+        else:
+            blocks[name] = arr
+    return blocks
+
+
 def save_model(params: ModelParams, path):
     """Versioned binary dump; block order is sorted by name for determinism."""
-    blocks = dict(params.arrays)
+    blocks = _file_blocks(params.arrays)
     blocks.update(_meta_blocks(params))
 
     def dump(fh):
@@ -820,7 +824,7 @@ def load_model(path) -> ModelParams:
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    data = memoryview(data)  # blocks are read in place and copied once, by _packed
+    data = memoryview(data)  # blocks are read in place and copied once, into the parameter arrays
     pos = 0
 
     def take(size: int, what: str) -> memoryview:
@@ -852,19 +856,21 @@ def load_model(path) -> ModelParams:
     if pos != len(data):
         raise DataError(f"model file has {len(data) - pos} bytes after its last block")
     config, n_series, global_batch = _config_from_meta(blocks)
-    arrays = {k: v for k, v in blocks.items() if not k.startswith("meta.")}
-    stored = sum(arr.size for arr in arrays.values())
-    if not 0 < n_series <= stored:
-        raise DataError(f"model file is for {n_series} series but holds {stored} parameter values")
-    expected = _parameter_arrays(config, n_series, _Shapes(stored))
-    missing, extra = sorted(expected.keys() - arrays.keys()), sorted(arrays.keys() - expected.keys())
+    stored = {k: v for k, v in blocks.items() if not k.startswith("meta.")}
+    size = sum(arr.size for arr in stored.values())
+    if not 0 < n_series <= size:
+        raise DataError(f"model file is for {n_series} series but holds {size} parameter values")
+    arrays = _parameter_arrays(config, n_series, _Shapes(size))
+    expected = _file_blocks(arrays)
+    missing, extra = sorted(expected.keys() - stored.keys()), sorted(stored.keys() - expected.keys())
     if missing:
         raise DataError(f"model file lacks its {missing[0]} block")
     if extra:
         raise DataError(f"model file holds a block {extra[0]} that its config does not use")
-    for name, arr in sorted(arrays.items()):
-        if arr.shape != expected[name].shape:
-            raise DataError(f"block {name} has shape {arr.shape}, its config needs {expected[name].shape}")
+    for name, block in sorted(stored.items()):
+        if block.shape != expected[name].shape:
+            raise DataError(f"block {name} has shape {block.shape}, its config needs {expected[name].shape}")
+        expected[name][...] = block
     if len(global_batch) != (0 if config.context_mode == "none" else config.context_batch):
         raise DataError(f"model file lists {len(global_batch)} context series for K={config.context_batch}")
-    return ModelParams(config, n_series, global_batch, _packed(config, arrays))
+    return ModelParams(config, n_series, global_batch, arrays)

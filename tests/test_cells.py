@@ -12,7 +12,6 @@ from contextrnn.cells import (
     embed_calendar,
     init_cell_arrays,
     new_stack_states,
-    stack_rows,
     stack_step,
     wdrnn_cell_forward,
 )
@@ -46,8 +45,7 @@ class TestDRNNCell:
     def test_zero_everything_fixed_point(self):
         rng = np.random.default_rng(1)
         arrays = init_cell_arrays(rng, 2, 3, 3)
-        for gate in "fuoc":
-            arrays[f"b_{gate}"] = np.zeros(3)
+        arrays["b"] = np.zeros(4 * 3)
         params = cell_params(arrays, s_m=0, s_h=3)
         state = CellState(d=2, h_width=3, c_width=3)
         y, c = drnn_cell_forward(Tensor(np.zeros(2)), state, params)
@@ -118,10 +116,10 @@ class TestWeightedCell:
         in_w, s_h = 3, 2
         arrays = {k: np.zeros_like(v) for k, v in init_cell_arrays(rng, in_w, in_w + s_h, s_h).items()}
         # u -> 0 so c = c~; o -> 1; tanh(b_c[0]) = ln 2 in slot 0
-        arrays["b_u"] = np.full(in_w + s_h, -30.0)
-        arrays["b_o"] = np.full(in_w + s_h, 30.0)
-        arrays["b_c"] = np.zeros(in_w + s_h)
-        arrays["b_c"][0] = math.atanh(math.log(2.0))
+        _b_f, b_u, b_o, b_c = np.split(arrays["b"], 4)  # the gates' row blocks, as views
+        b_u[:] = -30.0
+        b_o[:] = 30.0
+        b_c[0] = math.atanh(math.log(2.0))
         bottom = cell_params(arrays, in_w, s_h)
         _, top = self.build(rng)
 
@@ -154,7 +152,8 @@ def run_stack(xs, layers, dilations):
     return [stack_step(x, states, layers) for x in xs]
 
 
-def build_layers(rng, in_width, hidden, s_h, dilations, zero_from=None):
+def layer_arrays(rng, in_width, hidden, s_h, dilations, zero_from=None):
+    """(bottom, top) cell arrays of each layer of a stack."""
     layers = []
     for i, _d in enumerate(dilations):
         width = in_width if i == 0 else hidden
@@ -163,10 +162,20 @@ def build_layers(rng, in_width, hidden, s_h, dilations, zero_from=None):
         if zero_from is not None and i >= zero_from:
             bottom_arr = {k: np.zeros_like(v) for k, v in bottom_arr.items()}
             top_arr = {k: np.zeros_like(v) for k, v in top_arr.items()}
-        layers.append(
-            (cell_params(bottom_arr, width, s_h), cell_params(top_arr, 0, hidden))
-        )
+        layers.append((bottom_arr, top_arr))
     return layers
+
+
+def stack_cells(layers, s_h):
+    """Cell parameters of (bottom, top) arrays per layer; a bottom cell weights its whole input."""
+    return [
+        (cell_params(bottom, bottom["W"].shape[1], s_h), cell_params(top, 0, top["V"].shape[1]))
+        for bottom, top in layers
+    ]
+
+
+def build_layers(rng, in_width, hidden, s_h, dilations, zero_from=None):
+    return stack_cells(layer_arrays(rng, in_width, hidden, s_h, dilations, zero_from), s_h)
 
 
 class TestStack:
@@ -205,23 +214,18 @@ class TestStack:
     def test_twenty_step_stack_gradients(self):
         rng = np.random.default_rng(14)
         dilations = [1, 2]
-        layers = build_layers(rng, 3, 8, 8, dilations)
-        names = []
-        arrays = []
-        for i, (bottom, top) in enumerate(layers):
-            for field in CELL_FIELDS:
-                names.append((i, "bottom", field))
-                arrays.append(getattr(bottom, field).values)
-                names.append((i, "top", field))
-                arrays.append(getattr(top, field).values)
+        layers = layer_arrays(rng, 3, 8, 8, dilations)
+        cells = stack_cells(layers, 8)
+        keys = [(i, part, field) for i in range(len(layers)) for part in (0, 1) for field in CELL_FIELDS]
+        arrays = [layers[i][part][field] for i, part, field in keys]
         xs = [rng.normal(size=3) for _ in range(20)]
 
         def f(params):
-            lookup = dict(zip(names, params))
+            lookup = dict(zip(keys, params))
             rebuilt = []
-            for i, (bottom, top) in enumerate(layers):
-                b = DRNNCellParams(bottom.s_m, bottom.s_h, **{f: lookup[(i, "bottom", f)] for f in CELL_FIELDS})
-                t = DRNNCellParams(0, top.s_h, **{f: lookup[(i, "top", f)] for f in CELL_FIELDS})
+            for i, (bottom, top) in enumerate(cells):
+                b = DRNNCellParams(bottom.s_m, bottom.s_h, **{f: lookup[(i, 0, f)] for f in CELL_FIELDS})
+                t = DRNNCellParams(0, top.s_h, **{f: lookup[(i, 1, f)] for f in CELL_FIELDS})
                 rebuilt.append((b, t))
             out = run_stack([Tensor(x) for x in xs], rebuilt, dilations)
             total = None
@@ -230,7 +234,9 @@ class TestStack:
                 total = m if total is None else tp.add(total, m)
             return total
 
-        err = grad_check(f, arrays, epsilon=1e-5, max_coords_per_param=4, seed=3)
+        # 16 coordinates of each fused array, 64 per cell; a step of 1e-4 keeps the
+        # central difference of the smallest probed gradients clear of the loss's rounding
+        err = grad_check(f, arrays, epsilon=1e-4, max_coords_per_param=16, seed=3)
         assert err <= 1e-4, f"stack unroll gradient error {err:.2e}"
 
     def test_deterministic_forward(self):
@@ -271,27 +277,3 @@ class TestCalendarEmbedding:
     def test_malformed_onehot(self):
         with pytest.raises(ValueError, match="one-hot"):
             embed_calendar(np.ones(74), Tensor(np.zeros((74, 8))))
-
-
-class TestStackRows:
-    def test_packed_blocks_stack_as_a_view(self):
-        buffer = np.arange(24.0).reshape(8, 3)
-        parts = [Tensor(block) for block in np.split(buffer, 4)]
-        stacked = stack_rows(parts)
-        np.testing.assert_array_equal(stacked.values, buffer)
-        assert np.shares_memory(stacked.values, buffer)
-
-    def test_anything_else_is_copied(self):
-        buffer = np.arange(24.0).reshape(8, 3)
-        blocks = np.split(buffer, 4)
-        cases = [
-            [Tensor(b) for b in reversed(blocks)],  # out of order
-            [Tensor(b) for b in blocks[:3]],  # not the whole buffer
-            [Tensor(b.copy()) for b in blocks],  # separate arrays
-        ]
-        tape = Tape()
-        cases.append([tape.leaf(b) for b in blocks])  # tracked: gradients must reach each part
-        for parts in cases:
-            stacked = stack_rows(parts)
-            np.testing.assert_array_equal(stacked.values, np.concatenate([p.values for p in parts]))
-            assert not np.shares_memory(stacked.values, buffer)

@@ -210,6 +210,17 @@ def four_series_model(workspace):
     return model
 
 
+def underflowing_panel(data, tmp_path):
+    """The panel at ``data`` with series 3 at 1e300 and then 1e-300: its seasonal factors underflow to 0."""
+    panel = load_panel(str(data))
+    values = panel.values.copy()
+    values[3, 0] = 1e300
+    values[3, 1:] = 1e-300
+    path = tmp_path / "extreme.csv"
+    write_panel_csv(SeriesPanel(values, panel.timestamps, panel.mask, panel.frequency), str(path))
+    return path
+
+
 class TestModelMeetsItsPanel:
     """A model file or map that does not fit the panel is a data error, reported in one line."""
 
@@ -251,6 +262,52 @@ class TestModelMeetsItsPanel:
         whole = four_series_model.read_bytes()
         half.write_bytes(whole[: len(whole) // 2])
         self.assert_data_error(["evaluate", "--model", str(half), "--data", str(data)], capsys)
+
+    def test_evaluate_on_a_panel_whose_seasonal_factors_underflow(self, workspace, four_series_model, tmp_path, capsys):
+        extreme = underflowing_panel(workspace[2], tmp_path)
+        with np.errstate(divide="ignore"):
+            self.assert_data_error(["evaluate", "--model", str(four_series_model), "--data", str(extreme)], capsys)
+
+    def test_predict_on_a_panel_whose_seasonal_factors_underflow(self, workspace, four_series_model, tmp_path, capsys):
+        extreme = underflowing_panel(workspace[2], tmp_path)
+        with np.errstate(divide="ignore"):
+            self.assert_data_error(["predict", "--model", str(four_series_model), "--data", str(extreme),
+                                    "--out", str(tmp_path / "f.csv")], capsys)
+
+
+class TestMalformedValues:
+    """A value that does not parse as its type ends in its exit code with one line naming it."""
+
+    def assert_exit(self, argv, capsys, code, match):
+        capsys.readouterr()
+        assert run_cli(argv) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        kind = "usage error:" if code == 1 else "data error:"
+        assert len(err) == 1 and err[0].startswith(kind) and match in err[0], err
+
+    def test_config_override(self, workspace, tmp_path, capsys):
+        root, config, data = workspace
+        self.assert_exit(["train", "--data", str(data), "--map", str(root / "ctx.map"), "--config", str(config),
+                          "--set", "window=abc", "--out", str(tmp_path / "m.bin")], capsys, 2, "'window'")
+
+    def test_config_file_value(self, workspace, tmp_path, capsys):
+        root, config, data = workspace
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config.read_text() + "window = abc\n")
+        self.assert_exit(["train", "--data", str(data), "--map", str(root / "ctx.map"), "--config", str(bad),
+                          "--out", str(tmp_path / "m.bin")], capsys, 2, "'window'")
+
+    def test_synth_edge(self, tmp_path, capsys):
+        self.assert_exit(["synth", "--edges", "0-a", "--out", str(tmp_path / "p.csv")], capsys, 1, "'0-a'")
+
+    def test_synth_spec_value(self, tmp_path, capsys):
+        spec = tmp_path / "panel.spec"
+        spec.write_text("t = 50\nn = x\n")
+        self.assert_exit(["synth", "--spec", str(spec), "--out", str(tmp_path / "p.csv")], capsys, 2, "line 2")
+
+    def test_predict_series(self, workspace, four_series_model, tmp_path, capsys):
+        self.assert_exit(["predict", "--model", str(four_series_model), "--data", str(workspace[2]),
+                          "--series", "a,b", "--out", str(tmp_path / "f.csv")], capsys, 1, "'a,b'")
 
 
 class TestAblate:
@@ -327,8 +384,8 @@ class TestMalformedModelFile:
         self.assert_data_error(self.saved(trained, tmp_path), workspace[2], capsys, "layer9.top.W_f")
 
     def test_parameter_block_of_wrong_shape(self, workspace, trained, tmp_path, capsys):
-        trained.arrays["layer0.bottom.W_u"] = trained.arrays["layer0.bottom.W_u"][:, 1:]
-        self.assert_data_error(self.saved(trained, tmp_path), workspace[2], capsys, "layer0.bottom.W_u has shape")
+        trained.arrays["layer0.bottom.W"] = trained.arrays["layer0.bottom.W"][:, 1:]  # every gate block loses a column
+        self.assert_data_error(self.saved(trained, tmp_path), workspace[2], capsys, "layer0.bottom.W_c has shape")
 
 
 class TestDivergenceExitCode:
@@ -355,12 +412,7 @@ class TestDivergenceExitCode:
 
     def test_log_of_non_positive_value(self, workspace, cmap, tmp_path, capsys):
         _root, config, data = workspace
-        panel = load_panel(str(data))
-        values = panel.values.copy()
-        values[3, 0] = 1e300  # series 3's seasonal factors underflow to 0 in the warm-up
-        values[3, 1:] = 1e-300
-        extreme = tmp_path / "extreme.csv"
-        write_panel_csv(SeriesPanel(values, panel.timestamps, panel.mask, panel.frequency), str(extreme))
+        extreme = underflowing_panel(data, tmp_path)
         with np.errstate(divide="ignore"):
             self.assert_diverged(["train", "--data", str(extreme), "--map", str(cmap), "--config",
                                   str(config), "--out", str(tmp_path / "m.bin")], capsys, "strictly positive")

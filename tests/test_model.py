@@ -7,6 +7,7 @@ import pytest
 
 from contextrnn import model
 from contextrnn import tape as tp
+from contextrnn.cells import CELL_FIELDS
 from contextrnn.cli import run_cli
 from contextrnn.config import TrainConfig, load_config, parse_overrides, save_config
 from contextrnn.data import DataError, SynthSpec, split, synth_generate, write_panel_csv
@@ -422,15 +423,32 @@ class TestSerialization:
             np.testing.assert_array_equal(a[sid][0], b[sid][0])
 
     def test_gates_are_packed_and_fused_without_copies(self):
-        # a forward-only sweep holds each cell's weights once: its fused matrices view the model's buffers
+        # a forward-only sweep holds each cell's weights once: its gate matrices view the model's arrays
         buf = io.BytesIO()
         save_model(init_model(tiny_config(), 4, tiny_map()), buf)
         for params in (init_model(tiny_config(), 4, tiny_map()), load_model(io.BytesIO(buf.getvalue()))):
-            for bottom, top in model._Views(params).layers:
-                for cell in (bottom, top):
-                    for kind in ("W", "V", "U"):
-                        assert np.shares_memory(getattr(cell, kind).values, getattr(cell, f"{kind}_f").values)
-                    assert np.shares_memory(cell.b.values, cell.b_c.values)
+            for i, layer in enumerate(model._Views(params).layers):
+                for part, cell in zip(("bottom", "top"), layer):
+                    for field in CELL_FIELDS:
+                        assert np.shares_memory(getattr(cell, field).values, params.arrays[f"layer{i}.{part}.{field}"])
+
+    def test_file_blocks_tile_each_fused_array(self):
+        # the file holds one block per gate: row views of the fused array, in f, u, o, c order
+        params = init_model(tiny_config(), 4, tiny_map())
+        cells = [name for name in params.arrays if name.startswith("layer")]
+        assert len(cells) == len(CELL_FIELDS) * 2 * len(tiny_config().dilations)
+        for name in cells:
+            params.arrays[name][...] = np.arange(params.arrays[name].size).reshape(params.arrays[name].shape)
+        blocks = model._file_blocks(params.arrays)
+        for name in cells:
+            fused = params.arrays[name]
+            rows = len(fused) // 4
+            for k, gate in enumerate("fuoc"):
+                block = blocks.pop(f"{name}_{gate}")
+                assert np.shares_memory(block, fused)
+                np.testing.assert_array_equal(block, fused[k * rows : (k + 1) * rows])
+        assert blocks.keys() == params.arrays.keys() - set(cells)
+        assert all(blocks[name] is params.arrays[name] for name in blocks)
 
     def test_golden_file(self):
         # pins the block layout, the meta.scalars order and the init draw order
