@@ -38,8 +38,28 @@ class UsageError(Exception):
     pass
 
 
+def _parse_edges(text: str):
+    """DRIVER-DRIVEN pairs with optional per-edge weight: 0-1,0-2:-1.5
+
+    A malformed token raises argparse's ArgumentTypeError, whose message
+    argparse reports as given for the ``--edges`` flag.
+    """
+    edges = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        pair, _, weight = token.partition(":")
+        try:
+            a, b = pair.split("-")
+            edges.append((int(a), int(b), float(weight)) if weight else (int(a), int(b)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"edge {token!r} is not DRIVER-DRIVEN[:WEIGHT]") from None
+    return tuple(edges)
+
+
 #: synth flags, also the keys of a synth spec file: (type, default) of each
-_SYNTH_FIELDS = {"n": (int, 4), "t": (int, 400), "edges": (str, ""), "coupling": (float, 1.0), "lag": (int, 1),
+_SYNTH_FIELDS = {"n": (int, 4), "t": (int, 400), "edges": (_parse_edges, ()), "coupling": (float, 1.0), "lag": (int, 1),
                  "noise": (float, 0.1), "period": (int, 24), "seed": (int, 0)}
 
 
@@ -106,22 +126,6 @@ def _load_config(args) -> TrainConfig:
     if getattr(args, "config", None):
         return load_config(args.config, **overrides)
     return TrainConfig(**overrides)
-
-
-def _parse_edges(text: str):
-    """DRIVER-DRIVEN pairs with optional per-edge weight: 0-1,0-2:-1.5"""
-    edges = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        pair, _, weight = token.partition(":")
-        try:
-            a, b = pair.split("-")
-            edges.append((int(a), int(b), float(weight)) if weight else (int(a), int(b)))
-        except ValueError:
-            raise UsageError(f"edge {token!r} is not DRIVER-DRIVEN[:WEIGHT]") from None
-    return tuple(edges)
 
 
 def _cmd_select_context(args) -> int:
@@ -208,7 +212,7 @@ def _synth_values(args) -> dict:
                     raise DataError(f"bad synth spec line {lineno}: {line!r}")
                 try:
                     values[key] = _SYNTH_FIELDS[key][0](value.strip())
-                except ValueError:
+                except (ValueError, argparse.ArgumentTypeError):
                     raise DataError(f"bad synth spec value on line {lineno}: {line!r}") from None
     for key in _SYNTH_FIELDS:
         flag = getattr(args, key)
@@ -222,7 +226,7 @@ def _cmd_synth(args) -> int:
     spec = SynthSpec(
         n=values["n"],
         T=values["t"],
-        edges=_parse_edges(values["edges"]),
+        edges=values["edges"],
         coupling=values["coupling"],
         lag=values["lag"],
         noise_sigma=values["noise"],

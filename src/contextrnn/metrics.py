@@ -108,15 +108,17 @@ class EvalReport:
 def forecast_matrices(params: ModelParams, panel: SeriesPanel, emit_from: int, series=None):
     """Rolling medians vs actuals: (predicted, actual) of shape (series, anchors, fh).
 
-    Only anchors whose full output window is observed for a series
-    contribute to that series' row, so rows can differ in length; a row
-    shorter than the longest is padded at its end with NaN windows.
-    Evaluation runs in original units.
+    The rolling sweep stops at the last anchor whose horizon fits the
+    panel, so every anchor it emits has a whole target window. Only
+    anchors whose window is observed for a series contribute to that
+    series' row, so rows can differ in length; a row shorter than the
+    longest is padded at its end with NaN windows. Evaluation runs in
+    original units.
     """
     cfg = params.config
     series = list(range(panel.n)) if series is None else list(series)
     forecasts = rolling_forecast(params, panel, emit_from, series)
-    anchors = [t for t in sorted(forecasts) if t + cfg.horizon <= panel.T]
+    anchors = sorted(forecasts)
     if not anchors:
         raise DataError("no complete forecast windows inside the evaluation region")
     pred_rows, act_rows = [], []

@@ -553,9 +553,9 @@ class EpochStats:
     updates: int
 
 
-def _anchor_grid(panel: SeriesPanel, cfg: TrainConfig, for_training: bool):
-    last = panel.T - cfg.horizon if for_training else panel.T
-    return list(range(cfg.first_anchor, last + 1, cfg.stride))
+def _anchor_grid(panel: SeriesPanel, cfg: TrainConfig):
+    """Every ``stride``-th anchor from ``first_anchor`` whose whole target window lies inside the panel."""
+    return list(range(cfg.first_anchor, panel.T - cfg.horizon + 1, cfg.stride))
 
 
 def train(
@@ -572,7 +572,7 @@ def train(
     best-epoch parameters are retained.
     """
     cfg = config
-    anchors = _anchor_grid(train_panel, cfg, for_training=True)
+    anchors = _anchor_grid(train_panel, cfg)
     if not anchors:
         raise DataError(
             f"panel too short: need T >= {cfg.first_anchor + cfg.horizon}, got {train_panel.T}"
@@ -636,7 +636,7 @@ def train(
 def validation_loss(params: ModelParams, panel: SeriesPanel) -> float | None:
     """Mean forward-only loss over the panel's anchor grid (None if too short)."""
     cfg = params.config
-    anchors = _anchor_grid(panel, cfg, for_training=True)
+    anchors = _anchor_grid(panel, cfg)
     if not anchors:
         return None
     sweep = _Sweep(panel, params, range(panel.n))
@@ -677,21 +677,27 @@ def _forecasts(params: ModelParams, panel: SeriesPanel, series, anchors, emit_fr
 def rolling_forecast(params: ModelParams, panel: SeriesPanel, emit_from: int, series=None):
     """Forward sweep emitting (median, lower, upper) at every grid anchor >= emit_from.
 
-    Returns {anchor: {sid: (median, lower, upper)}} in series units.
+    The sweep stops at the last anchor whose horizon fits the panel
+    (``T - horizon``), the grid training and validation use; a later
+    anchor would have no whole target window to score. Returns
+    {anchor: {sid: (median, lower, upper)}} in series units.
     """
     cfg = params.config
     series = list(range(panel.n)) if series is None else list(series)
-    anchors = _anchor_grid(panel, cfg, for_training=False)
+    anchors = _anchor_grid(panel, cfg)
     if not anchors:
-        raise DataError("panel leaves no room for the input window")
+        raise DataError(
+            f"no whole target window fits the panel: need T >= {cfg.first_anchor + cfg.horizon}, got {panel.T}"
+        )
     return _forecasts(params, panel, series, anchors, emit_from)
 
 
 def predict(params: ModelParams, panel: SeriesPanel, anchor: int, series=None):
     """One forecast per requested series at a single anchor.
 
-    The sweep warms up deterministically over the anchor grid below
-    ``anchor``; no data at or beyond the anchor is read.
+    The sweep warms up deterministically over the anchors ``first_anchor``,
+    ``first_anchor + stride``, ... below ``anchor``; no data at or beyond
+    the anchor is read.
     """
     cfg = params.config
     if anchor < cfg.first_anchor or anchor > panel.T:
@@ -699,8 +705,8 @@ def predict(params: ModelParams, panel: SeriesPanel, anchor: int, series=None):
             f"anchor must lie in [{cfg.first_anchor}, {panel.T}] (needs {cfg.window} history points)"
         )
     series = list(range(panel.n)) if series is None else list(series)
-    grid = [t for t in _anchor_grid(panel, cfg, for_training=False) if t < anchor]
-    results = _forecasts(params, panel, series, grid + [anchor], anchor)[anchor]
+    warm_up = range(cfg.first_anchor, anchor, cfg.stride)
+    results = _forecasts(params, panel, series, [*warm_up, anchor], anchor)[anchor]
     missing = [sid for sid in series if sid not in results]
     if missing:
         raise DataError(f"series {missing} lack usable input windows at anchor {anchor}")
@@ -747,26 +753,47 @@ def _meta_blocks(params: ModelParams) -> dict:
     }
 
 
+def _meta_ints(block: str, values) -> list[int]:
+    """``values`` read from the meta block ``block`` as ints.
+
+    A value that is not finite or not integral is a DataError naming the
+    block, where ``int`` would raise or silently truncate.
+    """
+    out = []
+    for x in np.asarray(values, dtype=np.float64).ravel().tolist():
+        if not x.is_integer():
+            raise DataError(f"{block} holds {x!r} where an integer belongs")
+        out.append(int(x))
+    return out
+
+
 def _config_from_meta(blocks: dict) -> tuple[TrainConfig, int, tuple]:
     def meta(name):
         if name not in blocks:
             raise DataError(f"model file lacks its {name} block")
         return blocks[name]
 
+    def schedule(name, kind):
+        flat = meta(name).ravel()
+        if flat.size % 2:
+            raise DataError(f"{name} holds {flat.size} values, not epoch/value pairs")
+        values = _meta_ints(name, flat[1::2]) if kind is int else flat[1::2].tolist()
+        return dict(zip(_meta_ints(name, flat[0::2]), values))
+
     scalars = meta("meta.scalars")
     if scalars.shape != (len(SCALAR_FIELDS) + 2,):
         raise DataError(f"meta.scalars holds shape {scalars.shape}, expected ({len(SCALAR_FIELDS) + 2},)")
-    values = {name: kind(x) for (name, kind), x in zip(SCALAR_FIELDS.items(), scalars)}
+    values = dict(zip(SCALAR_FIELDS, scalars.tolist()))
+    int_fields = [name for name, kind in SCALAR_FIELDS.items() if kind is int]
+    values.update(zip(int_fields, _meta_ints("meta.scalars", [values[name] for name in int_fields])))
     if scalars[-2] not in _MODE_NAMES:
         raise DataError(f"meta.scalars holds the unknown context-mode code {float(scalars[-2])!r}")
     values["context_mode"] = _MODE_NAMES[scalars[-2]]
-    n_series = int(scalars[-1])
-    values["dilations"] = tuple(int(d) for d in meta("meta.dilations"))
-    pairs = meta("meta.batch_schedule")
-    values["batch_schedule"] = {int(pairs[i]): int(pairs[i + 1]) for i in range(0, len(pairs), 2)}
-    pairs = meta("meta.lr_schedule")
-    values["lr_schedule"] = {int(pairs[i]): float(pairs[i + 1]) for i in range(0, len(pairs), 2)}
-    global_batch = tuple(int(i) for i in meta("meta.global_batch"))
+    (n_series,) = _meta_ints("meta.scalars", scalars[-1:])
+    values["dilations"] = tuple(_meta_ints("meta.dilations", meta("meta.dilations")))
+    values["batch_schedule"] = schedule("meta.batch_schedule", int)
+    values["lr_schedule"] = schedule("meta.lr_schedule", float)
+    global_batch = tuple(_meta_ints("meta.global_batch", meta("meta.global_batch")))
     return TrainConfig(**values), n_series, global_batch
 
 

@@ -102,7 +102,7 @@ def _tiny_model_loss_fn():
     cm = ContextMap({0: (1,), 1: (0,)}, (0, 1), S=1, K=2)
     template = init_model(cfg, 2, cm)
     names = sorted(template.arrays)
-    anchors = _anchor_grid(panel, cfg, for_training=True)[:10]
+    anchors = _anchor_grid(panel, cfg)[:10]
 
     def f(tensors):
         views = _Views(template, leafs=dict(zip(names, tensors)))

@@ -11,7 +11,18 @@ import pytest
 
 from contextrnn.config import TrainConfig
 from contextrnn.data import SeriesPanel, SynthSpec, synth_generate
-from contextrnn.model import _anchor_grid, _mean_loss, _Sweep, _Views, init_model, rolling_forecast, validation_loss
+from contextrnn.metrics import forecast_matrices
+from contextrnn.model import (
+    _anchor_grid,
+    _forecasts,
+    _mean_loss,
+    _Sweep,
+    _Views,
+    init_model,
+    predict,
+    rolling_forecast,
+    validation_loss,
+)
 from contextrnn.selection import ContextMap
 
 REL = 1e-10
@@ -64,7 +75,7 @@ def test_panel_has_every_gap_kind():
     sweep = _Sweep(panel, params, range(panel.n))
     sweep.set_views(_Views(params))
     skipped = []
-    for t in _anchor_grid(panel, params.config, for_training=False):
+    for t in _anchor_grid(panel, params.config):
         sweep.advance_to(t)
         result = sweep.step(t)
         skipped.append(result is not None and not result.usable.all())
@@ -91,7 +102,7 @@ def loss_and_terms(params, panel, series):
     sweep = _Sweep(panel, params, series)
     sweep.set_views(_Views(params))
     terms = []
-    for t in _anchor_grid(panel, params.config, for_training=True):
+    for t in _anchor_grid(panel, params.config):
         sweep.advance_to(t)
         got = sweep.loss_terms(t, sweep.step(t))
         if got is not None:
@@ -104,7 +115,47 @@ def test_validation_loss_matches_one_series_at_a_time():
     panel, params = gapped_panel(), gapped_model()
     per_series = [loss_and_terms(params, panel, [sid]) for sid in range(panel.n)]
     total_terms = sum(count for _, count in per_series)
-    grid = _anchor_grid(panel, params.config, for_training=True)
+    grid = _anchor_grid(panel, params.config)
     assert total_terms < panel.n * len(grid)  # some terms dropped
     want = sum(loss * count for loss, count in per_series) / total_terms
     assert validation_loss(params, panel) == pytest.approx(want, rel=REL, abs=0.0)
+
+
+def test_forecast_matrices_equal_a_sweep_to_the_panel_end():
+    # the sweep is causal, so stopping at the last whole target window
+    # changes no scored forecast: compare with a sweep over every anchor up
+    # to T, scored by the protocol's rule
+    panel, params = gapped_panel(), gapped_model()
+    fh, emit_from = params.config.horizon, 40
+    full = _forecasts(params, panel, range(panel.n), range(params.config.first_anchor, panel.T + 1, params.config.stride), emit_from)
+    assert max(full) == panel.T > panel.T - fh
+    predicted, actual = forecast_matrices(params, panel, emit_from)
+    assert predicted.shape[0] == panel.n
+    for sid in range(panel.n):
+        scored = [t for t in sorted(full)
+                  if t + fh <= panel.T and sid in full[t] and panel.mask[sid, t : t + fh].all()]
+        want_pred = np.array([full[t][sid][0] for t in scored])
+        want_act = np.array([panel.values[sid, t : t + fh] - panel.shift for t in scored])
+        assert predicted[sid, : len(scored)].tobytes() == want_pred.tobytes()
+        assert actual[sid, : len(scored)].tobytes() == want_act.tobytes()
+        assert np.isnan(predicted[sid, len(scored) :]).all() and np.isnan(actual[sid, len(scored) :]).all()
+    assert len({int(np.isnan(actual[sid, :, 0]).sum()) for sid in range(panel.n)}) > 1  # rows differ in length
+
+
+def test_rolling_sweep_ends_at_the_last_whole_target_window(monkeypatch):
+    panel, params = gapped_panel(), gapped_model()
+    cfg = params.config
+    visited = []
+    step = _Sweep.step
+
+    def counted(self, t):
+        visited.append(t)
+        return step(self, t)
+
+    monkeypatch.setattr(_Sweep, "step", counted)
+    rolling_forecast(params, panel, emit_from=0)
+    assert visited == list(range(cfg.first_anchor, panel.T - cfg.horizon + 1, cfg.stride))
+    assert visited[-1] == panel.T - cfg.horizon
+    visited.clear()
+    predict(params, panel, anchor=panel.T - 1, series=[0])  # past the grid: warms up over every stride below it
+    assert visited == [*range(cfg.first_anchor, panel.T - 1, cfg.stride), panel.T - 1]

@@ -305,6 +305,11 @@ class TestMalformedValues:
         spec.write_text("t = 50\nn = x\n")
         self.assert_exit(["synth", "--spec", str(spec), "--out", str(tmp_path / "p.csv")], capsys, 2, "line 2")
 
+    def test_synth_spec_edges(self, tmp_path, capsys):
+        spec = tmp_path / "panel.spec"
+        spec.write_text("edges = 0-a\n")
+        self.assert_exit(["synth", "--spec", str(spec), "--out", str(tmp_path / "p.csv")], capsys, 2, "line 1")
+
     def test_predict_series(self, workspace, four_series_model, tmp_path, capsys):
         self.assert_exit(["predict", "--model", str(four_series_model), "--data", str(workspace[2]),
                           "--series", "a,b", "--out", str(tmp_path / "f.csv")], capsys, 1, "'a,b'")
@@ -374,6 +379,37 @@ class TestMalformedModelFile:
 
         monkeypatch.setattr(model_module, "_meta_blocks", huge)
         self.assert_data_error(self.saved(trained, tmp_path), workspace[2], capsys, "holds")
+
+    @pytest.mark.parametrize("block, index, value", [
+        ("meta.scalars", list(SCALAR_FIELDS).index("window"), math.nan),
+        ("meta.scalars", list(SCALAR_FIELDS).index("window"), math.inf),
+        ("meta.scalars", list(SCALAR_FIELDS).index("window"), 16.5),
+        ("meta.scalars", -1, math.nan),  # the series count
+        ("meta.dilations", 0, math.nan),
+        ("meta.global_batch", 0, math.nan),
+    ])
+    def test_integer_meta_value_not_an_integer(self, workspace, trained, tmp_path, capsys, monkeypatch,
+                                               block, index, value):
+        write_meta = model_module._meta_blocks
+
+        def edited(params):
+            blocks = write_meta(params)
+            blocks[block][index] = value
+            return blocks
+
+        monkeypatch.setattr(model_module, "_meta_blocks", edited)
+        self.assert_data_error(self.saved(trained, tmp_path), workspace[2], capsys, f"{block} holds {value!r}")
+
+    def test_schedule_of_odd_length(self, workspace, trained, tmp_path, capsys, monkeypatch):
+        write_meta = model_module._meta_blocks
+
+        def odd(params):
+            blocks = write_meta(params)
+            blocks["meta.batch_schedule"] = np.append(blocks["meta.batch_schedule"], 4.0)
+            return blocks
+
+        monkeypatch.setattr(model_module, "_meta_blocks", odd)
+        self.assert_data_error(self.saved(trained, tmp_path), workspace[2], capsys, "meta.batch_schedule holds 3 values")
 
     def test_missing_parameter_block(self, workspace, trained, tmp_path, capsys):
         del trained.arrays["head_w"]

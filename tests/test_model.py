@@ -293,7 +293,7 @@ class TestTraining:
         cfg = tiny_config()
         panel = tiny_panel(T=200)
         tr, va, te = split(panel)
-        anchors = _anchor_grid(tr, cfg, for_training=True)
+        anchors = _anchor_grid(tr, cfg)
         assert max(anchors) + cfg.horizon <= tr.T  # = validation start index
 
     def test_divergence_raises(self):
