@@ -8,6 +8,7 @@ with the largest epoch not exceeding the current one wins).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
@@ -54,12 +55,17 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.q_low < self.q_star < self.q_high < 1.0):
             raise DataError("quantiles must satisfy 0 < q_low < q_star < q_high < 1")
-        if self.gamma < 0.0:
-            raise DataError("gamma must be non-negative")
+        if not 0.0 <= self.gamma < math.inf:
+            raise DataError("gamma must be non-negative and finite")
         if self.epochs < 1 or self.window < 2 or self.horizon < 1 or self.period < 1:
             raise DataError("epochs, window, horizon and period must be positive")
         if self.stride < 1 or self.steps_per_update < 1:
             raise DataError("stride and steps_per_update must be positive")
+        widths = ("context_size", "context_batch", "contexts_per_target", "state_width", "hidden_width",
+                  "conv_channels", "conv_kernel")
+        small = [name for name in widths if getattr(self, name) < 1]
+        if small:
+            raise DataError(f"{small[0]} must be positive, got {getattr(self, small[0])}")
         if any(d < 1 for d in self.dilations) or not self.dilations:
             raise DataError("dilations must be positive")
         if self.context_mode not in ("full", "global", "none"):
@@ -68,6 +74,10 @@ class TrainConfig:
             sched = getattr(self, name)
             if not sched or any(int(k) < 1 for k in sched):
                 raise DataError(f"{name} needs at least one entry with epoch >= 1")
+        if any(size < 1 for size in self.batch_schedule.values()):
+            raise DataError("batch sizes must be positive")
+        if not all(0.0 < lr < math.inf for lr in self.lr_schedule.values()):
+            raise DataError("learning rates must be positive and finite")
 
     def _lookup(self, schedule, epoch):
         keys = [k for k in schedule if k <= epoch]

@@ -124,26 +124,65 @@ def _parse_stamp(cell: str):
 def load_panel(path) -> SeriesPanel:
     """Read a CSV panel: first column timestamp/index, one series per column.
 
-    Empty cells mark missing observations. If any value is non-positive a
-    global shift of ``1 - min + eps`` is applied and recorded on the panel.
+    A blank, whitespace-only or ``nan`` cell marks a missing observation; a
+    cell that is not a number, or parses to ±inf, is a DataError naming its
+    row and series. If any value is non-positive a global shift of
+    ``1 - min + eps`` is applied and recorded on the panel.
     """
     if hasattr(path, "read"):
-        rows = list(csv.reader(path))
+        return _read_panel(csv.reader(path))
+    with open(path, newline="") as fh:
+        return _read_panel(csv.reader(fh))
+
+
+def _row_values(cells, t: int) -> np.ndarray:
+    """One row's cells as floats, NaN where a cell is blank; Python's ``float`` rules in one numpy call."""
+    try:
+        values = np.array([cell if cell.strip() else "nan" for cell in cells], dtype=np.float64)
+    except ValueError:
+        pass  # the loop below names the cell
     else:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
-    if not rows:
+        if not np.isinf(values).any():
+            return values
+    values = np.empty(len(cells))
+    for j, cell in enumerate(cells):
+        cell = cell.strip()
+        try:
+            values[j] = float(cell) if cell else math.nan
+        except ValueError:
+            raise DataError(f"bad numeric cell at row {t}, series {j}: {cell!r}") from None
+        if math.isinf(values[j]):
+            raise DataError(f"infinite cell at row {t}, series {j}: {cell!r}")
+    return values
+
+
+def _read_panel(reader) -> SeriesPanel:
+    # rows are converted as they are read, so the file's text is never held
+    # whole; a bad cell is reported only once the timestamps have passed
+    width, stamps, rows, bad_cell = 0, [], [], None
+    try:
+        for row in reader:
+            if not row:
+                continue
+            t = len(stamps)
+            if not width:
+                width = len(row)
+                if width < 2:
+                    raise DataError("need a timestamp column plus at least one series")
+            if len(row) != width:
+                raise DataError(f"ragged row {t}: {len(row)} columns, expected {width}")
+            stamps.append(_parse_stamp(row[0]))
+            if bad_cell is None:
+                try:
+                    rows.append(_row_values(row[1:], t))
+                except DataError as exc:
+                    bad_cell = exc
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"panel file does not decode as text: {exc}") from None
+    if not stamps:
         raise DataError("empty file")
-    width = len(rows[0])
-    if width < 2:
-        raise DataError("need a timestamp column plus at least one series")
-    stamps, cells = [], []
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"ragged row {r}: {len(row)} columns, expected {width}")
-        stamps.append(_parse_stamp(row[0]))
-        cells.append(row[1:])
 
     if all(isinstance(s, int) for s in stamps):
         deltas = {b - a for a, b in zip(stamps, stamps[1:])}
@@ -152,6 +191,8 @@ def load_panel(path) -> SeriesPanel:
         freq = dt.timedelta(hours=1)
         timestamps = tuple(INDEX_EPOCH + dt.timedelta(hours=s - stamps[0]) for s in stamps)
     elif all(isinstance(s, dt.datetime) for s in stamps):
+        if len({s.tzinfo is None for s in stamps}) > 1:
+            raise DataError("timestamps mix time-zone-aware and naive values")
         timestamps = tuple(stamps)
         if len(stamps) > 1:
             freq = stamps[1] - stamps[0]
@@ -164,26 +205,17 @@ def load_panel(path) -> SeriesPanel:
             freq = dt.timedelta(hours=1)
     else:
         raise DataError("mixed timestamp and integer-index rows")
+    if bad_cell is not None:
+        raise bad_cell
 
-    T, n = len(rows), width - 1
-    values = np.zeros((n, T))
-    mask = np.ones((n, T), dtype=bool)
-    for t, row in enumerate(cells):
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == "":
-                mask[j, t] = False
-            else:
-                try:
-                    values[j, t] = float(cell)
-                except ValueError:
-                    raise DataError(f"bad numeric cell at row {t}, series {j}: {cell!r}") from None
-
+    values = np.stack(rows, axis=1)
+    mask = ~np.isnan(values)
+    values[~mask] = 0.0
     shift = 0.0
     observed = values[mask]
     if observed.size and observed.min() <= 0.0:
         shift = 1.0 - float(observed.min()) + SHIFT_EPS
-        values = values + shift
+        values += shift
         values[~mask] = 0.0
     return SeriesPanel(values, timestamps, mask, freq, shift)
 

@@ -217,16 +217,25 @@ class _Shapes:
 
     A config that asks for more drawn values than ``budget`` fails before
     they are allocated, so a model file cannot make its reader build arrays
-    larger than the file.
+    larger than the file. Each width of ``config`` that sizes an array is
+    one of that array's dimensions, so it is held to the budget first,
+    before any arithmetic on it (``np.sqrt`` fails on an int beyond uint64).
     """
 
-    def __init__(self, budget: int):
+    OVERDRAWN = "model file's config asks for more parameters than the file holds"
+
+    def __init__(self, budget: int, config: TrainConfig):
         self.left = budget
+        widths = [input_width(config), config.horizon, config.state_width, config.hidden_width]
+        if config.context_mode != "none":
+            widths += [config.context_size, config.context_batch, config.conv_channels, config.conv_kernel]
+        if max(widths) > budget:
+            raise DataError(self.OVERDRAWN)
 
     def uniform(self, low, high, size):
         self.left -= math.prod(size)
         if self.left < 0:
-            raise DataError("model file's config asks for more parameters than the file holds")
+            raise DataError(self.OVERDRAWN)
         return np.zeros(size)
 
 
@@ -887,7 +896,7 @@ def load_model(path) -> ModelParams:
     size = sum(arr.size for arr in stored.values())
     if not 0 < n_series <= size:
         raise DataError(f"model file is for {n_series} series but holds {size} parameter values")
-    arrays = _parameter_arrays(config, n_series, _Shapes(size))
+    arrays = _parameter_arrays(config, n_series, _Shapes(size, config))
     expected = _file_blocks(arrays)
     missing, extra = sorted(expected.keys() - stored.keys()), sorted(stored.keys() - expected.keys())
     if missing:

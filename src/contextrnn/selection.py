@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .data import DataError, SeriesPanel
 
@@ -125,13 +124,16 @@ def _joint_extremes(panel: SeriesPanel):
     """lo[i, j] and hi[i, j]: the least and greatest value of series i on the cells j observes too.
 
     Each series' observed cells are ranked once; the first of them that j
-    observes, from either end, holds the joint minimum or maximum. Every
-    pair needs a joint cell (check with ``_joint_counts`` first).
+    observes, from either end, holds the joint minimum or maximum. The
+    entries of a pair without a joint cell mean nothing, so read them only
+    after ``_joint_counts`` has passed.
     """
     n = panel.n
-    lo, hi = np.empty((n, n)), np.empty((n, n))
+    lo, hi = np.full((n, n), np.nan), np.full((n, n), np.nan)
     for i in range(n):
         cells = np.flatnonzero(panel.mask[i])
+        if not cells.size:
+            continue
         ranked = cells[np.argsort(panel.values[i, cells], kind="stable")]
         lo[i] = panel.values[i, ranked[_first_shared(panel.mask, ranked)]]
         hi[i] = panel.values[i, ranked[::-1][_first_shared(panel.mask, ranked[::-1])]]
@@ -144,12 +146,13 @@ def _varies(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return varies & varies.T
 
 
-def pearson_matrix(panel: SeriesPanel) -> AdjacencyMatrix:
+def pearson_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
     """Pairwise-complete Pearson coefficients; a series constant on a pair's joint cells scores 0.
 
     Every pair at once, as masked matrix products: each series is centred
     on its own observed mean and zeroed where missing, which keeps the
     one-pass sums within rounding of centring on each pair's joint mean.
+    ``extremes`` is the panel's ``_joint_extremes``, computed here if not given.
     """
     counts = _joint_counts(panel, MIN_PAIR_OBS_CORR)
     observed = panel.mask.astype(np.float64)
@@ -160,7 +163,8 @@ def pearson_matrix(panel: SeriesPanel) -> AdjacencyMatrix:
     var = np.maximum((centred * centred) @ observed.T - sums * sums / counts, 0.0)
     denom = np.sqrt(var * var.T)
     weights = np.zeros((panel.n, panel.n))
-    np.divide(cov, denom, out=weights, where=_varies(*_joint_extremes(panel)) & (denom > 0.0))
+    varies = _varies(*(extremes or _joint_extremes(panel)))
+    np.divide(cov, denom, out=weights, where=varies & (denom > 0.0))
     return AdjacencyMatrix(panel.n, weights, "CM")
 
 
@@ -229,7 +233,7 @@ def _bin_codes(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: np.ndar
         codes -= down
 
 
-def mi_matrix(panel: SeriesPanel) -> AdjacencyMatrix:
+def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
     """Equal-width-histogram mutual information in nats, pairwise complete.
 
     A pair of N joint cells is binned as ``np.histogram2d`` bins it: on
@@ -242,10 +246,11 @@ def mi_matrix(panel: SeriesPanel) -> AdjacencyMatrix:
     anew. Row i counts all its pairs (i, j >= i) with one offset
     ``bincount`` and scores them in entropy form,
     MI = (Σ c_xy log c_xy - Σ c_x log c_x - Σ c_y log c_y) / N + log N.
+    ``extremes`` is the panel's ``_joint_extremes``, computed here if not given.
     """
     n, T = panel.n, panel.T
     counts = _joint_counts(panel, MIN_PAIR_OBS_MI).astype(np.intp)
-    lo, hi = _joint_extremes(panel)
+    lo, hi = extremes or _joint_extremes(panel)
     varies = _varies(lo, hi)
     bins = _bin_count(counts)
     own_lo, own_hi, own_bins = lo.diagonal(), hi.diagonal(), bins.diagonal()
@@ -375,7 +380,11 @@ def _f_test(y: np.ndarray, x: np.ndarray, maxlag: int, rss_r: float) -> float:
     f_stat = ((rss_r - rss_a) / maxlag) / (rss_a / dof)
     if f_stat <= 0.0:
         return 1.0
-    # survival function of F(maxlag, dof) via the regularized incomplete beta
+    # survival function of F(maxlag, dof) via the regularized incomplete beta;
+    # scipy is imported here, not at the top, so that no command but
+    # select-context pays for loading it
+    from scipy import special
+
     return float(special.betainc(dof / 2.0, maxlag / 2.0, dof / (dof + maxlag * f_stat)))
 
 
@@ -449,9 +458,10 @@ def build_context_map(
     if K > panel.n:
         raise DataError("context batch cannot exceed the series count")
 
-    corr = pearson_matrix(panel)
+    extremes = _joint_extremes(panel)  # one ranking of each series serves Pearson and MI
+    corr = pearson_matrix(panel, extremes)
     abs_corr = AdjacencyMatrix(corr.n, np.abs(corr.weights), "CM")
-    agg = aggregate([abs_corr, cst_matrix(corr), mi_matrix(panel)])
+    agg = aggregate([abs_corr, cst_matrix(corr), mi_matrix(panel, extremes)])
     candidates = shortlist(agg, S)
     granger = granger_rank(panel, candidates, maxlag, S, agg)
 
@@ -486,16 +496,19 @@ def read_context_map(path) -> ContextMap:
             lines = fh.read().splitlines()
     per_target = {}
     global_batch = None
-    for line in lines:
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         head, _, tail = line.partition(":")
-        ids = tuple(int(tok) for tok in tail.split(",") if tok.strip())
-        if head.strip() == "GLOBAL":
-            global_batch = ids
-        else:
-            per_target[int(head)] = ids
+        try:
+            ids = tuple(int(tok) for tok in tail.split(",") if tok.strip())
+            if head.strip() == "GLOBAL":
+                global_batch = ids
+            else:
+                per_target[int(head)] = ids
+        except ValueError:
+            raise DataError(f"context map line {lineno} holds an id that is not an integer: {line!r}") from None
     if global_batch is None:
         raise DataError("context map file is missing the GLOBAL line")
     if not per_target:

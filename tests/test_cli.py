@@ -310,6 +310,14 @@ class TestMalformedValues:
         spec.write_text("edges = 0-a\n")
         self.assert_exit(["synth", "--spec", str(spec), "--out", str(tmp_path / "p.csv")], capsys, 2, "line 1")
 
+    @pytest.mark.parametrize("line", ["0: 1,x", "a: 1,2", "0: 1,2.5"])
+    def test_context_map_id(self, workspace, tmp_path, capsys, line):
+        _root, config, data = workspace
+        cmap = tmp_path / "bad.map"
+        cmap.write_text(f"{line}\n1: 0,2\n2: 0,1\n3: 0,1\nGLOBAL: 0,1\n")
+        self.assert_exit(["train", "--data", str(data), "--map", str(cmap), "--config", str(config),
+                          "--out", str(tmp_path / "m.bin")], capsys, 2, "context map line 1")
+
     def test_predict_series(self, workspace, four_series_model, tmp_path, capsys):
         self.assert_exit(["predict", "--model", str(four_series_model), "--data", str(workspace[2]),
                           "--series", "a,b", "--out", str(tmp_path / "f.csv")], capsys, 1, "'a,b'")
@@ -366,7 +374,8 @@ class TestMalformedModelFile:
         monkeypatch.setattr(model_module, "_meta_blocks", mode_seven)
         self.assert_data_error(self.saved(trained, tmp_path), workspace[2], capsys, "context-mode code 7.0")
 
-    @pytest.mark.parametrize("slot, value", [("hidden_width", 1e11), ("n_series", 1e12)])
+    @pytest.mark.parametrize("slot, value", [("hidden_width", 1e11), ("n_series", 1e12), ("window", 1e300),
+                                             ("period", 1e300), ("context_size", 1e19)])
     def test_config_larger_than_the_file(self, workspace, trained, tmp_path, capsys, monkeypatch, slot, value):
         # refused before any array of the claimed size is built
         write_meta = model_module._meta_blocks

@@ -1,13 +1,19 @@
 import datetime as dt
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contextrnn.config import TrainConfig
 from contextrnn.data import (
     DataError,
+    SeriesPanel,
     SynthSpec,
     calendar_features,
     load_panel,
@@ -18,6 +24,8 @@ from contextrnn.data import (
     write_panel_csv,
 )
 from contextrnn.model import _Sweep, _Views, init_model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def panel_from_text(text):
@@ -56,10 +64,115 @@ class TestLoadPanel:
 
     def test_roundtrip_through_csv(self):
         p = synth_generate(SynthSpec(n=3, T=40, seasonal_period=8), seed=5)
-        buf = io.StringIO()
-        write_panel_csv(p, buf)
-        again = load_panel(io.StringIO(buf.getvalue()))
-        np.testing.assert_allclose(again.values, p.values, rtol=0, atol=1e-12)
+        again = round_trip(p)
+        np.testing.assert_array_equal(again.values, p.values)
+
+    def test_blank_whitespace_and_nan_cells_are_missing(self):
+        p = panel_from_text("0,1,2\n1,  ,nan\n2,NaN,\t\n3, 4 ,-nan\n")
+        np.testing.assert_array_equal(p.mask, [[True, False, False, True], [True, False, False, False]])
+        np.testing.assert_array_equal(p.values, [[1.0, 0.0, 0.0, 4.0], [2.0, 0.0, 0.0, 0.0]])
+
+    def test_cells_parse_by_python_float_rules(self):
+        p = panel_from_text("0, 1.5 ,1_000,+1,.5,\u0661\u0662\n")
+        np.testing.assert_array_equal(p.values[:, 0], [1.5, 1000.0, 1.0, 0.5, 12.0])
+        assert p.shift == 0.0
+        assert panel_from_text("0,1e-400\n").shift == 1.0 + 1e-6  # underflows to 0.0, a non-positive value
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", " Infinity", "1e999", "-1e400"])
+    def test_infinite_cell(self, cell):
+        with pytest.raises(DataError, match=f"infinite cell at row 1, series 1: {cell.strip()!r}"):
+            panel_from_text(f"0,1,2\n1,3,{cell}\n2,5,6\n")
+
+    def test_bad_cell_named(self):
+        with pytest.raises(DataError, match="bad numeric cell at row 2, series 0: 'x'"):
+            panel_from_text("0,1,2\n1,3,4\n2, x ,1e999\n")
+
+    def test_timestamp_errors_come_before_cell_errors(self):
+        with pytest.raises(DataError, match="increase by 1"):
+            panel_from_text("0,x\n2,1\n")
+
+    def test_malformed_csv(self):
+        with pytest.raises(DataError, match="malformed CSV at line 1"):
+            panel_from_text("0,1\r2\n")
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"0,1\n1,\xff\n")
+        with pytest.raises(DataError, match="does not decode"):
+            load_panel(str(path))
+
+    def test_mixed_time_zones(self):
+        with pytest.raises(DataError, match="time-zone"):
+            panel_from_text("2015-06-01T00:00,1\n2015-06-01T01:00+00:00,2\n")
+
+    def test_peak_memory_of_a_large_load(self, tmp_path):
+        # a fresh process, so the high-water mark belongs to this load alone
+        rng = np.random.default_rng(0)
+        values = rng.uniform(1.0, 30.0, (200, 2000))
+        mask = rng.random(values.shape) > 0.01
+        path = tmp_path / "panel.csv"
+        stamps = tuple(dt.datetime(2000, 1, 1) + dt.timedelta(hours=t) for t in range(2000))
+        write_panel_csv(SeriesPanel(np.where(mask, values, 0.0), stamps, mask, dt.timedelta(hours=1)), path)
+        script = (
+            "import resource, sys\n"
+            "from contextrnn.data import load_panel\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "panel = load_panel(sys.argv[1])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((after - before) * 1024 - panel.values.nbytes - panel.mask.nbytes)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert int(out.stdout) <= 12 * 2**20  # a whole-file read held about 40 MiB of strings here
+
+
+def round_trip(panel):
+    buf = io.StringIO()
+    write_panel_csv(panel, buf)
+    return load_panel(io.StringIO(buf.getvalue()))
+
+
+@st.composite
+def panel_texts(draw, values):
+    """CSV text of a gapped panel, with integer or ISO timestamps and about a quarter of its cells blank."""
+    n, T = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        first = draw(st.integers(-10**6, 10**6))
+        stamps = [str(first + t) for t in range(T)]
+    else:
+        start = draw(st.datetimes(min_value=dt.datetime(1900, 1, 1), max_value=dt.datetime(2100, 1, 1)))
+        step = dt.timedelta(seconds=draw(st.integers(1, 7 * 86400)))
+        stamps = [(start + t * step).isoformat() for t in range(T)]
+    cell = st.one_of(st.just(""), values.map(repr), values.map(repr), values.map(repr))
+    return "".join(",".join([stamp] + [draw(cell) for _ in range(n)]) + "\n" for stamp in stamps)
+
+
+def assert_same_panel(again, panel, atol=0.0):
+    assert again.timestamps == panel.timestamps and again.frequency == panel.frequency
+    np.testing.assert_array_equal(again.mask, panel.mask)
+    if atol:
+        np.testing.assert_allclose(again.values, panel.values, rtol=0, atol=atol)
+        assert abs(again.shift - panel.shift) <= atol
+    else:
+        assert again.values.tobytes() == panel.values.tobytes() and again.shift == panel.shift
+
+
+@settings(max_examples=200, deadline=None)
+@given(panel_texts(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
+def test_round_trip_of_a_gapped_panel_is_bit_exact(text):
+    panel = load_panel(io.StringIO(text))
+    assert panel.shift == 0.0
+    assert_same_panel(round_trip(panel), panel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(panel_texts(st.floats(min_value=-1e6, max_value=1e6)))
+def test_round_trip_of_a_shifted_panel_is_within_ulps_of_the_shift(text):
+    # the file holds values - shift, rounded, and the reload derives the shift
+    # from the least of them again: a shifted panel can come back some ulps off
+    panel = load_panel(io.StringIO(text))
+    scale = max(panel.shift, float(panel.values.max()))
+    assert_same_panel(round_trip(panel), panel, atol=4 * np.spacing(scale) if panel.shift else 0.0)
 
 
 class TestSplit:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 import struct
 
 import numpy as np
@@ -190,6 +191,25 @@ class TestConfig:
     def test_quantile_ordering_enforced(self):
         with pytest.raises(DataError):
             TrainConfig(q_low=0.6, q_star=0.5)
+
+    @pytest.mark.parametrize("name", ["context_size", "context_batch", "contexts_per_target", "state_width",
+                                      "hidden_width", "conv_channels", "conv_kernel"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_width_below_one(self, name, value):
+        with pytest.raises(DataError, match=f"{name} must be positive"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("gamma", math.nan, "gamma"),
+        ("gamma", math.inf, "gamma"),
+        ("batch_schedule", {1: 0}, "batch sizes"),
+        ("batch_schedule", {1: 2, 3: -3}, "batch sizes"),
+        ("lr_schedule", {1: -1e-3}, "learning rates"),
+        ("lr_schedule", {1: 1e-3, 2: math.nan}, "learning rates"),
+    ])
+    def test_value_out_of_range(self, field, value, match):
+        with pytest.raises(DataError, match=match):
+            TrainConfig(**{field: value})
 
     def test_file_roundtrip(self):
         cfg = tiny_config(gamma=0.7, context_mode="global")
