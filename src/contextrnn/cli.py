@@ -16,6 +16,7 @@ from .data import (
     DataError,
     SynthSpec,
     load_panel,
+    read_lines,
     split,
     synth_generate,
     write_forecast_csv,
@@ -200,20 +201,19 @@ def _cmd_evaluate(args) -> int:
 
 def _synth_values(args) -> dict:
     values = {key: default for key, (_kind, default) in _SYNTH_FIELDS.items()}
-    if args.spec:
-        with open(args.spec) as fh:
-            for lineno, line in enumerate(fh, 1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                key, sep, value = body.partition("=")
-                key = key.strip()
-                if not sep or key not in _SYNTH_FIELDS:
-                    raise DataError(f"bad synth spec line {lineno}: {line!r}")
-                try:
-                    values[key] = _SYNTH_FIELDS[key][0](value.strip())
-                except (ValueError, argparse.ArgumentTypeError):
-                    raise DataError(f"bad synth spec value on line {lineno}: {line!r}") from None
+    lines = read_lines(args.spec, "synth spec") if args.spec else []
+    for lineno, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        key, sep, value = body.partition("=")
+        key = key.strip()
+        if not sep or key not in _SYNTH_FIELDS:
+            raise DataError(f"bad synth spec line {lineno}: {line!r}")
+        try:
+            values[key] = _SYNTH_FIELDS[key][0](value.strip())
+        except (ValueError, argparse.ArgumentTypeError):
+            raise DataError(f"bad synth spec value on line {lineno}: {line!r}") from None
     for key in _SYNTH_FIELDS:
         flag = getattr(args, key)
         if flag is not None:

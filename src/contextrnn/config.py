@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
-from .data import DataError
+from .data import DataError, read_lines
 
 __all__ = ["TrainConfig", "load_config", "save_config", "parse_overrides"]
 
@@ -144,12 +144,7 @@ def parse_overrides(pairs) -> dict:
 def load_config(path, **overrides) -> TrainConfig:
     """Read a flat key=value file ('#' comments allowed) and apply overrides."""
     values = {}
-    if hasattr(path, "read"):
-        lines = path.read().splitlines()
-    else:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_lines(path, "config"), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

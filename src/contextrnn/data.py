@@ -121,6 +121,17 @@ def _parse_stamp(cell: str):
         raise DataError(f"first column must be ISO-8601 or integer index, got {cell!r}") from None
 
 
+def read_lines(path, what: str) -> list[str]:
+    """The lines of a text file, or of an open text stream; text that does not decode is a DataError."""
+    try:
+        if hasattr(path, "read"):
+            return path.read().splitlines()
+        with open(path) as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} file does not decode as text: {exc}") from None
+
+
 def load_panel(path) -> SeriesPanel:
     """Read a CSV panel: first column timestamp/index, one series per column.
 

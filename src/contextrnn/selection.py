@@ -13,6 +13,14 @@ every pair with array arithmetic, at O(n²·T) cost in BLAS products and
 matrix products, MI by counting equal-width bin codes, one ``bincount`` per
 target row. The spanning tree is built from the Pearson matrix, so a
 selection computes Pearson once.
+
+What does not depend on the partner is computed once. Per series: its
+ranking by value (which gives its extremes on every pair's joint cells),
+its bin codes and the entropy term of its own histogram, which every pair
+whose partner observes all of the series' cells reuses. Per Granger target
+and joint run: the own-lag regressors, their Gram and the restricted fit,
+so each candidate adds only its own lag rows to the normal equations. The
+shortlist is one stable ``argsort`` of the aggregated weights.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, SeriesPanel
+from .data import DataError, SeriesPanel, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -244,8 +252,12 @@ def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
     Each series is binned once on its own range; a pair whose joint cells
     lose that series' minimum or maximum, or change the bin count, bins it
     anew. Row i counts all its pairs (i, j >= i) with one offset
-    ``bincount`` and scores them in entropy form,
+    ``bincount``, a cell that either series misses counted past the last
+    pair and cut off, and scores them in entropy form,
     MI = (Σ c_xy log c_xy - Σ c_x log c_x - Σ c_y log c_y) / N + log N.
+    A marginal term Σ c log c is taken from the series' own histogram,
+    computed once per series, when the partner observes every cell the
+    series observes: the pair then bins the series as it is binned alone.
     ``extremes`` is the panel's ``_joint_extremes``, computed here if not given.
     """
     n, T = panel.n, panel.T
@@ -258,16 +270,23 @@ def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
     codes = _bin_codes(values, own_lo, own_hi, own_bins)
     # own[i, j]: pair (i, j) bins series i as series i alone is binned
     own = (lo == own_lo[:, None]) & (hi == own_hi[:, None]) & (bins == own_bins[:, None])
-    # joint cell (x, y) of pair (i, j) is counted at (j·width + x)·width + y - i·width²
+    # covered[i, j]: series j observes every cell series i observes
+    covered = counts == counts.diagonal()[:, None]
+    # joint cell (x, y) of pair (i, j) is counted at (j·width + x)·width + y - i·width²;
+    # a cell series j misses at (n+1)·width² + x·width - i·width², past the row's last pair
     width = int(bins.max())
     block = width * width
-    y_cells = codes + (np.arange(n) * block)[:, None]
+    y_cells = np.where(panel.mask, codes + (np.arange(n) * block)[:, None], (n + 1) * block)
     tally = np.arange(T + 1)
     clogc = tally * np.log(np.maximum(tally, 1))  # c·log c, 0 at c = 0
+    own_terms = np.array([clogc[np.bincount(codes[i, panel.mask[i]], minlength=width)].sum() for i in range(n)])
     weights = np.zeros((n, n))
+    # one buffer serves every row: an allocation per row, shrinking row by row,
+    # fragments the heap and raises peak memory
+    buffer = np.empty_like(y_cells)
     for i in range(n):
         partners = np.arange(i, n)
-        cells = y_cells[i:] + (codes[i] * width - i * block)
+        cells = np.add(y_cells[i:], codes[i] * width - i * block, out=buffer[: partners.size])
         redo = partners[~own[i, i:]]
         if redo.size:
             x = _bin_codes(np.broadcast_to(values[i], (redo.size, T)), lo[i, redo], hi[i, redo], bins[i, redo])
@@ -275,12 +294,18 @@ def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
         redo = partners[~own[i:, i]]
         if redo.size:
             cells[redo - i] += _bin_codes(values[redo], lo[redo, i], hi[redo, i], bins[i, redo]) - codes[redo]
-        joint = np.bincount(cells[panel.mask[i] & panel.mask[i:]], minlength=partners.size * block)
+        # cells series i misses; written after the adjustments above, which could move them into the last pair
+        cells[:, ~panel.mask[i]] = partners.size * block
+        joint = np.bincount(cells.ravel(), minlength=partners.size * block)[: partners.size * block]
         joint = joint.reshape(partners.size, width, width)
+        x_terms = np.full(partners.size, own_terms[i])
+        redo = np.flatnonzero(~covered[i, i:])
+        x_terms[redo] = clogc[joint[redo].sum(axis=2)].sum(axis=1)
+        y_terms = own_terms[i:].copy()
+        redo = np.flatnonzero(~covered[i:, i])
+        y_terms[redo] = clogc[joint[redo].sum(axis=1)].sum(axis=1)
         n_obs = counts[i, i:]
-        entropy_sums = (
-            clogc[joint].sum(axis=(1, 2)) - clogc[joint.sum(axis=2)].sum(axis=1) - clogc[joint.sum(axis=1)].sum(axis=1)
-        )
+        entropy_sums = clogc[joint].sum(axis=(1, 2)) - x_terms - y_terms
         mi = np.where(varies[i, i:], np.maximum(entropy_sums / n_obs + np.log(n_obs), 0.0), 0.0)
         weights[i, i:] = weights[i:, i] = mi
     return AdjacencyMatrix(n, weights, "MI")
@@ -321,40 +346,30 @@ def shortlist(aggregated: AdjacencyMatrix, S: int) -> dict[int, tuple[int, ...]]
     want = math.ceil(1.5 * S)
     if want > n - 1:
         raise DataError(f"need {want} candidates per target but only {n - 1} other series exist")
-    out = {}
-    for target in range(n):
-        others = [j for j in range(n) if j != target]
-        others.sort(key=lambda j: (-aggregated.weights[target, j], j))
-        out[target] = tuple(others[:want])
-    return out
+    keys = -aggregated.weights
+    np.fill_diagonal(keys, np.inf)  # a target never lists itself
+    order = np.argsort(keys, axis=1, kind="stable")[:, :want]  # stable: equal weights by ascending id
+    return {target: tuple(ids) for target, ids in enumerate(order.tolist())}
 
 
-def _lag_design(y: np.ndarray, x: np.ndarray | None, maxlag: int):
-    """Regression rows for y_t on own lags (and optionally x lags), intercept first."""
-    T = y.size
-    rows = T - maxlag
-    cols = 1 + maxlag + (maxlag if x is not None else 0)
-    design = np.empty((rows, cols))
-    design[:, 0] = 1.0
+def _lag_rows(series: np.ndarray, maxlag: int) -> np.ndarray:
+    """(maxlag, T - maxlag) array whose row l-1 is ``series`` lagged by l, aligned with ``series[maxlag:]``."""
+    T = series.size
+    rows = np.empty((maxlag, T - maxlag))
     for lag in range(1, maxlag + 1):
-        design[:, lag] = y[maxlag - lag : T - lag]
-        if x is not None:
-            design[:, maxlag + lag] = x[maxlag - lag : T - lag]
-    return design, y[maxlag:]
+        rows[lag - 1] = series[maxlag - lag : T - lag]
+    return rows
 
 
-def _rss(design: np.ndarray, target: np.ndarray) -> float:
-    gram = design.T @ design
-    rhs = design.T @ target
+def _least_squares(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Coefficients solving the normal equations ``gram @ c = rhs``."""
     try:
-        coef = np.linalg.solve(gram, rhs)
+        return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         # collinear lags: jitter scaled to the gram's magnitude keeps it solvable
         jitter = RIDGE * max(1.0, float(np.trace(gram)) / gram.shape[0])
         logger.warning("singular Granger regression; applying ridge jitter %.3g", jitter)
-        coef = np.linalg.solve(gram + jitter * np.eye(gram.shape[0]), rhs)
-    resid = target - design @ coef
-    return float(resid @ resid)
+        return np.linalg.solve(gram + jitter * np.eye(gram.shape[0]), rhs)
 
 
 def _longest_joint_run(panel: SeriesPanel, i: int, j: int):
@@ -368,24 +383,40 @@ def _longest_joint_run(panel: SeriesPanel, i: int, j: int):
     return int(starts[longest]), int(ends[longest])
 
 
-def _f_test(y: np.ndarray, x: np.ndarray, maxlag: int, rss_r: float) -> float:
-    """Granger p-value of x for y, given the RSS of y's own-lags regression."""
-    design_a, target = _lag_design(y, x, maxlag)
-    rss_a = _rss(design_a, target)
-    dof = target.size - 2 * maxlag - 1
-    if dof <= 0:
-        raise DataError(f"too few observations for maxlag={maxlag}")
-    if rss_a <= 0.0:
-        return 0.0 if rss_r > rss_a else 1.0
-    f_stat = ((rss_r - rss_a) / maxlag) / (rss_a / dof)
-    if f_stat <= 0.0:
-        return 1.0
-    # survival function of F(maxlag, dof) via the regularized incomplete beta;
-    # scipy is imported here, not at the top, so that no command but
-    # select-context pays for loading it
-    from scipy import special
+def _own_lags(y: np.ndarray, maxlag: int):
+    """The target's own-lags regression over one joint run, as (rows, cross, rss).
 
-    return float(special.betainc(dof / 2.0, maxlag / 2.0, dof / (dof + maxlag * f_stat)))
+    ``rows`` stacks the regressors (intercept, then lags 1..maxlag) over the
+    regressand ``y[maxlag:]``; ``cross = rows @ rows.T`` holds the
+    regressors' Gram and their products with the regressand.
+    """
+    k = maxlag + 1
+    rows = np.empty((k + 1, y.size - maxlag))
+    rows[0] = 1.0
+    rows[1:k] = _lag_rows(y, maxlag)
+    rows[k] = y[maxlag:]
+    cross = rows @ rows.T
+    resid = rows[k] - _least_squares(cross[:k, :k], cross[:k, k]) @ rows[:k]
+    return rows, cross, float(resid @ resid)
+
+
+def _augmented_rss(rows: np.ndarray, cross: np.ndarray, lags: np.ndarray) -> float:
+    """RSS once a candidate's ``lags`` rows join the own-lag regressors of ``_own_lags``.
+
+    Partitioned normal equations: of the augmented Gram only the
+    candidate's blocks are new, its products with the regressors, with
+    itself and with the regressand.
+    """
+    k, maxlag = rows.shape[0] - 1, lags.shape[0]
+    with_lags = rows @ lags.T
+    gram = np.empty((k + maxlag, k + maxlag))
+    gram[:k, :k] = cross[:k, :k]
+    gram[:k, k:] = with_lags[:k]
+    gram[k:, :k] = with_lags[:k].T
+    gram[k:, k:] = lags @ lags.T
+    coef = _least_squares(gram, np.concatenate((cross[:k, k], with_lags[k])))
+    resid = rows[k] - coef[:k] @ rows[:k] - coef[k:] @ lags
+    return float(resid @ resid)
 
 
 def granger_rank(
@@ -398,35 +429,52 @@ def granger_rank(
     """Per target, F-test each shortlisted candidate and keep the S best.
 
     Ranking is by ascending p-value, ties broken by descending aggregated
-    weight then ascending id. Only shortlisted pairs are tested; the
-    target's own-lags regression is solved once per joint run it is
-    tested on.
+    weight then ascending id. Only shortlisted pairs are tested, each on
+    the pair's longest joint run (the whole panel for two fully observed
+    series). The target's own-lag regressors, their Gram and the
+    restricted fit are computed once per joint run; each candidate adds
+    only its own lag rows. One ``betainc`` call turns every F statistic
+    into its p-value.
     """
-    n = panel.n
-    p_values = np.full((n, n), np.nan)
-    per_target = {}
-    tests = 0
+    # scipy is imported here, not at the top, so that no command but
+    # select-context pays for loading it
+    from scipy import special
+
+    if maxlag < 1:
+        raise DataError(f"Granger tests need maxlag >= 1, got {maxlag}")
+    n, T = panel.n, panel.T
+    full = panel.mask.all(axis=1)
+    tested, rss = [], []  # (target, candidate, residual degrees of freedom), (restricted, augmented) RSS
     for target, cand_ids in candidates.items():
-        restricted = {}
-        scored = []
+        fits = {}
         for cand in cand_ids:
-            lo, hi = _longest_joint_run(panel, target, cand)
-            run = hi - lo
-            if run <= 10 * maxlag:
-                raise DataError(
-                    f"pair ({target}, {cand}): joint run {run} too short for maxlag={maxlag}"
-                )
-            y = panel.values[target, lo:hi]
-            if (lo, hi) not in restricted:
-                restricted[lo, hi] = _rss(*_lag_design(y, None, maxlag))
-            p = _f_test(y, panel.values[cand, lo:hi], maxlag, restricted[lo, hi])
-            tests += 1
-            p_values[target, cand] = p
-            weight = aggregated.weights[target, cand] if aggregated is not None else 0.0
-            scored.append((p, -weight, cand))
-        scored.sort()
-        per_target[target] = tuple(c for _, _, c in scored[:S])
-    return GrangerResult(p_values, per_target, tests)
+            lo, hi = (0, T) if full[target] and full[cand] else _longest_joint_run(panel, target, cand)
+            if hi - lo <= 10 * maxlag:
+                raise DataError(f"pair ({target}, {cand}): joint run {hi - lo} too short for maxlag={maxlag}")
+            if (lo, hi) not in fits:
+                fits[lo, hi] = _own_lags(panel.values[target, lo:hi], maxlag)
+            rows, cross, rss_r = fits[lo, hi]
+            tested.append((target, cand, hi - lo - 3 * maxlag - 1))
+            rss.append((rss_r, _augmented_rss(rows, cross, _lag_rows(panel.values[cand, lo:hi], maxlag))))
+    p_values = np.full((n, n), np.nan)
+    if tested:
+        targets, cands, dof = np.array(tested).T
+        rss_r, rss_a = np.array(rss).T
+        # a perfect augmented fit scores 0 if it improves on the own lags
+        p = np.where((rss_a <= 0.0) & (rss_r > rss_a), 0.0, 1.0)
+        fitted = rss_a > 0.0
+        f_stat = np.zeros_like(p)
+        f_stat[fitted] = ((rss_r[fitted] - rss_a[fitted]) / maxlag) / (rss_a[fitted] / dof[fitted])
+        # survival function of F(maxlag, dof) via the regularized incomplete beta
+        live = f_stat > 0.0
+        p[live] = special.betainc(dof[live] / 2.0, maxlag / 2.0, dof[live] / (dof[live] + maxlag * f_stat[live]))
+        p_values[targets, cands] = p
+    weights = aggregated.weights if aggregated is not None else np.zeros((n, n))
+    per_target = {
+        target: tuple(sorted(cand_ids, key=lambda c: (p_values[target, c], -weights[target, c], c))[:S])
+        for target, cand_ids in candidates.items()
+    }
+    return GrangerResult(p_values, per_target, len(tested))
 
 
 def build_context_map(
@@ -489,14 +537,9 @@ def write_context_map(cm: ContextMap, path):
 
 
 def read_context_map(path) -> ContextMap:
-    if hasattr(path, "read"):
-        lines = path.read().splitlines()
-    else:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
     per_target = {}
     global_batch = None
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_lines(path, "context map"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -318,6 +318,24 @@ class TestMalformedValues:
         self.assert_exit(["train", "--data", str(data), "--map", str(cmap), "--config", str(config),
                           "--out", str(tmp_path / "m.bin")], capsys, 2, "context map line 1")
 
+    @pytest.mark.parametrize("kind", ["map", "config", "spec"])
+    def test_text_file_that_does_not_decode(self, workspace, tmp_path, capsys, kind):
+        _root, config, data = workspace
+        cmap = tmp_path / "ctx.map"
+        cmap.write_text("0: 1,2\n1: 0,2\n2: 0,1\n3: 0,1\nGLOBAL: 0,1\n")
+        bad = tmp_path / f"bad.{kind}"
+        if kind == "spec":
+            bad.write_bytes(b"t = 50\n# \xff\n")
+            argv = ["synth", "--spec", str(bad), "--out", str(tmp_path / "p.csv")]
+        else:
+            if kind == "map":
+                bad.write_bytes(b"0: 1,\xff2\n1: 0,2\n2: 0,1\n3: 0,1\nGLOBAL: 0,1\n")
+            else:
+                bad.write_bytes(config.read_bytes() + b"# caf\xe9\n")
+            argv = ["train", "--data", str(data), "--map", str(bad if kind == "map" else cmap),
+                    "--config", str(bad if kind == "config" else config), "--out", str(tmp_path / "m.bin")]
+        self.assert_exit(argv, capsys, 2, "does not decode")
+
     def test_predict_series(self, workspace, four_series_model, tmp_path, capsys):
         self.assert_exit(["predict", "--model", str(four_series_model), "--data", str(workspace[2]),
                           "--series", "a,b", "--out", str(tmp_path / "f.csv")], capsys, 1, "'a,b'")

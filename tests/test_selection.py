@@ -1,6 +1,7 @@
 import datetime as dt
 import io
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from contextrnn.selection import (
     shortlist,
     write_context_map,
 )
-from contextrnn.selection import _bin_codes, _longest_joint_run
+from contextrnn.selection import _bin_codes, _joint_extremes, _longest_joint_run
 
 
 def make_panel(values, mask=None):
@@ -333,6 +334,41 @@ class TestMutualInformation:
             mi_matrix(make_panel(np.random.default_rng(0).uniform(1, 2, (2, 20))))
 
 
+def wide_mi_panel(seed=0, n=44, T=400):
+    """Gapped random walks in which partners miss each other's extremes, plus a constant series.
+
+    Series 0 and n-1 bracket the redo paths: every gapped series misses the
+    cells holding the minimum or maximum of some other series, so pairs
+    bin those series anew, and the last series is a partner of every row.
+    """
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.normal(size=(n, T)).cumsum(axis=1) + rng.normal(size=(n, T)), 1)
+    values[n // 2] = 4.25  # constant
+    mask = np.ones((n, T), dtype=bool)
+    gapped = rng.choice(n, n // 3, replace=False)
+    for i in gapped:
+        mask[i, rng.choice(T, int(rng.integers(1, 40)), replace=False)] = False
+        for j in rng.choice(n, 3, replace=False):
+            mask[i, np.argmin(values[j]) if rng.uniform() < 0.5 else np.argmax(values[j])] = False
+    mask[:, 7] = True  # every pair keeps some joint cells at the front
+    mask[n - 1, rng.choice(T, 25, replace=False)] = False
+    return make_panel(values, mask)
+
+
+class TestMutualInformationCounts:
+    """One ``bincount`` per row counts every pair, a cell either series misses landing past the row's pairs."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_pair_matches_histogram_oracle(self, seed):
+        panel = wide_mi_panel(seed)
+        lo, hi = _joint_extremes(panel)
+        own_lo, own_hi = lo.diagonal()[:, None], hi.diagonal()[:, None]
+        rebinned = (lo != own_lo) | (hi != own_hi)
+        assert panel.n >= 40 and (~panel.mask).any(axis=1).sum() >= 10
+        assert rebinned[~panel.mask.all(axis=1)].any()  # gapped rows rebin partners that lost an extreme
+        np.testing.assert_allclose(mi_matrix(panel).weights, reference_mi(panel), rtol=0.0, atol=1e-12)
+
+
 class TestBinCodes:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3), st.integers(8, 64))
@@ -416,6 +452,22 @@ class TestShortlist:
         with pytest.raises(DataError):
             shortlist(self.adj(np.ones((4, 4))), S=3)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(3, 9).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n).map(lambda w: np.reshape(w, (n, n))),
+        st.integers(1, 2 * (n - 1) // 3),  # ceil(1.5·S) <= n - 1
+    )))
+    def test_equals_sort_key_definition(self, case):
+        weights, S = case
+        n = weights.shape[0]
+        want = {
+            target: tuple(sorted((j for j in range(n) if j != target), key=lambda j: (-weights[target, j], j))[
+                : math.ceil(1.5 * S)
+            ])
+            for target in range(n)
+        }
+        assert shortlist(self.adj(weights), S) == want
+
 
 def oracle_granger_p(y, x, maxlag):
     """Independent two-lstsq-fit F-test oracle."""
@@ -477,7 +529,8 @@ class TestGranger:
     def test_self_lagged_candidate_near_zero_p(self):
         # AR process at lag 5: the candidate (target shifted by one) supplies
         # the missing fifth lag, so its contribution is decisive even though
-        # four of its columns duplicate the restricted design (ridge path).
+        # three of its lag rows duplicate the restricted design's (a Gram
+        # singular up to rounding).
         rng = np.random.default_rng(17)
         y = np.zeros(1200)
         noise = rng.normal(size=1200)
@@ -518,6 +571,41 @@ def brute_force_run(both):
         else:
             t += 1
     return best_lo, best_hi
+
+
+class TestGrangerOnJointRuns:
+    def gapped_panel(self):
+        """Target 0's candidates share its longest joint run only in part; candidate 5 is constant."""
+        rng = np.random.default_rng(44)
+        T = 360
+        values = rng.normal(size=(6, T)).cumsum(axis=1) + 40.0
+        values[0, 1:] += 0.6 * values[1, :-1]
+        values[5] = 7.5
+        mask = np.ones((6, T), dtype=bool)
+        mask[0, 300] = False  # the target's own gap
+        mask[2, 120] = False  # a run that ends earlier
+        mask[3, 200:203] = False  # a run in the middle
+        mask[4, 40] = False
+        return make_panel(values, mask), mask, values
+
+    def test_p_values_match_oracle_on_each_run(self, caplog):
+        panel, mask, values = self.gapped_panel()
+        with caplog.at_level(logging.WARNING, logger="contextrnn.selection"):
+            result = granger_rank(panel, {0: (1, 2, 3, 4, 5), 3: (0, 5)}, maxlag=3, S=2)
+        runs = {cand: brute_force_run(mask[0] & mask[cand]) for cand in range(1, 6)}
+        assert len(set(runs.values())) >= 3
+        for target, cands in ((0, (1, 2, 3, 4, 5)), (3, (0, 5))):
+            for cand in cands:
+                lo, hi = brute_force_run(mask[target] & mask[cand])
+                want = oracle_granger_p(values[target, lo:hi], values[cand, lo:hi], 3)
+                assert result.p_values[target, cand] == pytest.approx(want, rel=1e-9)
+        assert result.tests_performed == 7
+        assert "singular Granger regression" in caplog.text  # the constant candidate's lags are collinear
+
+    def test_maxlag_below_one(self):
+        panel = make_panel(np.random.default_rng(0).uniform(1, 2, (2, 60)))
+        with pytest.raises(DataError, match="maxlag"):
+            granger_rank(panel, {0: (1,)}, maxlag=0, S=1)
 
 
 class TestLongestJointRun:

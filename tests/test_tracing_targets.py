@@ -1,12 +1,14 @@
-"""Every function the benchmark tracer wraps exists where its callers look it up, and the sweep calls it.
+"""Every function the benchmark tracer wraps exists where its callers look it up, and the program calls it.
 
 ``perfbench/tracing.py`` swaps each ``module:attribute`` of its ``WRAPPED``
 list for a timed wrapper; a name that no longer resolves makes every
-traced benchmark run fail, and one the sweep stopped calling reads zero.
+traced benchmark run fail, and one the sweep or the selection stopped
+calling reads zero.
 """
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -60,3 +62,21 @@ def test_sweep_calls_every_wrapped_model_function(tmp_path):
         module_name, _, path_name = target.partition(":")
         if module_name == "contextrnn.model":
             assert f"{module_name}.{path_name}" in called, f"{target} was never called"
+
+
+def test_selection_calls_every_wrapped_selection_function():
+    from contextrnn import selection
+
+    base = synth_generate(SynthSpec(n=8, T=300, edges=((0, 1), (2, 3)), seasonal_period=8), seed=2)
+    mask = np.ones((base.n, base.T), dtype=bool)
+    mask[3, 100:104] = False  # one gapped series, tested on its longest joint run
+    panel = SeriesPanel(np.where(mask, base.values, 0.0), base.timestamps, mask, base.frequency)
+    S = 2
+    with tracing.Tracer() as tracer:
+        selection.build_context_map(panel, S=S, K=3)
+    called = tracing.table(tracer.spans)
+    for target in tracing.WRAPPED:
+        module_name, _, path_name = target.partition(":")
+        if module_name == "contextrnn.selection":
+            assert f"{module_name}.{path_name}" in called, f"{target} was never called"
+    assert tracing.op_metrics(tracer)["selection.granger_tests"] == panel.n * math.ceil(1.5 * S)
