@@ -61,6 +61,8 @@ class TrainConfig:
             raise DataError("epochs, window, horizon and period must be positive")
         if self.stride < 1 or self.steps_per_update < 1:
             raise DataError("stride and steps_per_update must be positive")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
         widths = ("context_size", "context_batch", "contexts_per_target", "state_width", "hidden_width",
                   "conv_channels", "conv_kernel")
         small = [name for name in widths if getattr(self, name) < 1]

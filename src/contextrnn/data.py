@@ -93,8 +93,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n < 1 or self.T < 2:
             raise DataError("synthetic spec needs n >= 1 and T >= 2")
-        if self.lag < 0:
-            raise DataError("lag must be non-negative")
+        if self.lag < 0 or self.seasonal_period < 1:
+            raise DataError("lag must be non-negative and the seasonal period positive")
         for edge in self.edges:
             if len(edge) not in (2, 3):
                 raise DataError(f"edge {edge} must be (driver, driven[, weight])")
@@ -284,6 +284,8 @@ def calendar_features(timestamp: dt.datetime) -> np.ndarray:
 
 def synth_generate(spec: SynthSpec, seed: int) -> SeriesPanel:
     """Deterministic coupled panel: sinusoid-mixture drivers, lagged driven series."""
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     n, T, p = spec.n, spec.T, spec.seasonal_period
     pad = spec.lag

@@ -220,13 +220,14 @@ class _Shapes:
     larger than the file. Each width of ``config`` that sizes an array is
     one of that array's dimensions, so it is held to the budget first,
     before any arithmetic on it (``np.sqrt`` fails on an int beyond uint64).
+    A dilation sizes the rings of its cells' states, so it is held there too.
     """
 
     OVERDRAWN = "model file's config asks for more parameters than the file holds"
 
     def __init__(self, budget: int, config: TrainConfig):
         self.left = budget
-        widths = [input_width(config), config.horizon, config.state_width, config.hidden_width]
+        widths = [input_width(config), config.horizon, config.state_width, config.hidden_width, *config.dilations]
         if config.context_mode != "none":
             widths += [config.context_size, config.context_batch, config.conv_channels, config.conv_kernel]
         if max(widths) > budget:
@@ -886,6 +887,8 @@ def load_model(path) -> ModelParams:
         if name in blocks:
             raise DataError(f"model file holds block {name} twice")
         (ndim,) = struct.unpack("<I", take(4, f"the rank of {name}"))
+        if ndim > 2:  # every block is a vector or a matrix
+            raise DataError(f"model file block {name} has {ndim} axes")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"the shape of {name}"))
         payload = take(8 * math.prod(shape), f"the values of {name}")
         blocks[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)

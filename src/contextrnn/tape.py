@@ -3,9 +3,10 @@
 The engine is deliberately small: it covers exactly the primitives the
 forecasting architecture needs. Every tracked operation is recorded on an
 explicit :class:`Tape`; gradients are obtained by walking the tape in
-reverse. Tensors without a tape reference act as constants, so
-forward-only code (prediction, finite-difference probes) pays no
-recording cost.
+reverse. Tensors without a tape reference act as constants. A primitive
+builds its pull closures only when it records a node, so forward-only code
+(evaluation, prediction, finite-difference probes) pays no recording cost:
+it computes values and wraps them, nothing more.
 
 The tape is rebuilt for every training step (define-by-run); a tape and
 its tensors belong to a single logical thread.
@@ -88,18 +89,13 @@ class Tape:
         return node.id
 
 
-def _as_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """Shape + row-major float64 values + optional tape node id."""
 
     __slots__ = ("values", "tape", "node")
 
     def __init__(self, values, tape: Tape | None = None, node: int | None = None):
-        self.values = _as_array(values)
+        self.values = np.asarray(values, dtype=np.float64)
         self.tape = tape
         self.node = node
 
@@ -145,24 +141,25 @@ def _tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _common_tape(tensors) -> Tape | None:
+def _emit(op, out_values, operands, make_pulls):
+    """Wrap a primitive's result, recording it only if an operand is tracked.
+
+    ``make_pulls()`` returns one pull (``fn(grad_out) -> grad``) per operand,
+    in order. With no tape among the operands the result is a constant and
+    the maker is never called, so a forward-only sweep builds no closures.
+    Otherwise the node keeps the pulls of the tracked operands only.
+    """
     tape = None
-    for t in tensors:
-        if t.tape is None:
-            continue
-        if tape is None:
-            tape = t.tape
-        elif tape is not t.tape:
-            raise ValueError("operands belong to different tapes")
-    return tape
-
-
-def _emit(op, out_values, tracked_pulls, tape):
-    """Record a result if any input is tracked; otherwise return a constant."""
+    for t in operands:
+        if t.tape is not None:
+            if tape is None:
+                tape = t.tape
+            elif tape is not t.tape:
+                raise ValueError("operands belong to different tapes")
     if tape is None:
         return Tensor(out_values)
-    node = tape._record(op, tuple(tracked_pulls))
-    return Tensor(out_values, tape, node)
+    recorded = [(t.node, pull) for t, pull in zip(operands, make_pulls()) if t.node is not None]
+    return Tensor(out_values, tape, tape._record(op, recorded))
 
 
 def _unbroadcast(grad, shape):
@@ -178,64 +175,44 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _pulls(pairs):
-    """Keep only tracked inputs: pairs of (tensor, pull_fn)."""
-    return [(t.node, fn) for t, fn in pairs if t.node is not None]
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
 def add(a, b) -> Tensor:
     a, b = _tensor(a), _tensor(b)
-    out = a.values + b.values
-    pulls = _pulls(
-        [
-            (a, lambda g, s=a.values.shape: _unbroadcast(g, s)),
-            (b, lambda g, s=b.values.shape: _unbroadcast(g, s)),
-        ]
-    )
-    return _emit("add", out, pulls, _common_tape((a, b)))
+    return _emit("add", a.values + b.values, (a, b), lambda: (
+        lambda g, s=a.values.shape: _unbroadcast(g, s),
+        lambda g, s=b.values.shape: _unbroadcast(g, s),
+    ))
 
 
 def sub(a, b) -> Tensor:
     a, b = _tensor(a), _tensor(b)
-    out = a.values - b.values
-    pulls = _pulls(
-        [
-            (a, lambda g, s=a.values.shape: _unbroadcast(g, s)),
-            (b, lambda g, s=b.values.shape: _unbroadcast(-g, s)),
-        ]
-    )
-    return _emit("sub", out, pulls, _common_tape((a, b)))
+    return _emit("sub", a.values - b.values, (a, b), lambda: (
+        lambda g, s=a.values.shape: _unbroadcast(g, s),
+        lambda g, s=b.values.shape: _unbroadcast(-g, s),
+    ))
 
 
 def mul(a, b) -> Tensor:
     a, b = _tensor(a), _tensor(b)
-    out = a.values * b.values
     av, bv = a.values, b.values
-    pulls = _pulls(
-        [
-            # each pull holds only the other operand, so a constant factor keeps nothing else alive
-            (a, lambda g, s=av.shape: _unbroadcast(g * bv, s)),
-            (b, lambda g, s=bv.shape: _unbroadcast(g * av, s)),
-        ]
-    )
-    return _emit("mul_elementwise", out, pulls, _common_tape((a, b)))
+    # each pull holds only the other operand, so a constant factor keeps nothing else alive
+    return _emit("mul_elementwise", av * bv, (a, b), lambda: (
+        lambda g, s=av.shape: _unbroadcast(g * bv, s),
+        lambda g, s=bv.shape: _unbroadcast(g * av, s),
+    ))
 
 
 def div(a, b) -> Tensor:
     a, b = _tensor(a), _tensor(b)
     av, bv = a.values, b.values
     out = av / bv
-    pulls = _pulls(
-        [
-            (a, lambda g, s=av.shape: _unbroadcast(g / bv, s)),
-            (b, lambda g, s=bv.shape: _unbroadcast(-g * out / bv, s)),
-        ]
-    )
-    return _emit("div", out, pulls, _common_tape((a, b)))
+    return _emit("div", out, (a, b), lambda: (
+        lambda g, s=av.shape: _unbroadcast(g / bv, s),
+        lambda g, s=bv.shape: _unbroadcast(-g * out / bv, s),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +237,11 @@ def matmul(a, b) -> Tensor:
         return bv @ g  # a is 1-D, b is 2-D
 
     def pull_b(g):
-        if av.ndim == 2 and bv.ndim == 2:
+        if av.ndim == 2:
             return av.T @ g
-        if av.ndim == 2 and bv.ndim == 1:
-            return av.T @ g
-        return np.outer(av, g)
+        return np.outer(av, g)  # a is 1-D, b is 2-D
 
-    pulls = _pulls([(a, pull_a), (b, pull_b)])
-    return _emit("matmul", out, pulls, _common_tape((a, b)))
+    return _emit("matmul", out, (a, b), lambda: (pull_a, pull_b))
 
 
 def transpose(x) -> Tensor:
@@ -275,8 +249,7 @@ def transpose(x) -> Tensor:
     x = _tensor(x)
     if x.values.ndim != 2:
         raise ValueError(f"transpose needs a 2-D operand, got {x.values.shape}")
-    out = x.values.T
-    return _emit("transpose", out, _pulls([(x, lambda g: g.T)]), x.tape)
+    return _emit("transpose", x.values.T, (x,), lambda: (lambda g: g.T,))
 
 
 def gather(x, rows) -> Tensor:
@@ -293,7 +266,7 @@ def gather(x, rows) -> Tensor:
         np.add.at(full, rows, g)
         return full
 
-    return _emit("gather", out, _pulls([(x, pull)]), x.tape)
+    return _emit("gather", out, (x,), lambda: (pull,))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -301,20 +274,23 @@ def concat(tensors, axis=0) -> Tensor:
     if not ts:
         raise ValueError("concat of an empty sequence")
     out = np.concatenate([t.values for t in ts], axis=axis)
-    pairs = []
-    offset = 0
-    for t in ts:
-        width = t.values.shape[axis]
-        lo, hi = offset, offset + width
 
-        def pull(g, lo=lo, hi=hi):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
+    def make_pulls():
+        pulls = []
+        offset = 0
+        for t in ts:
+            lo, hi = offset, offset + t.values.shape[axis]
 
-        pairs.append((t, pull))
-        offset = hi
-    return _emit("concat", out, _pulls(pairs), _common_tape(ts))
+            def pull(g, lo=lo, hi=hi):
+                index = [slice(None)] * g.ndim
+                index[axis] = slice(lo, hi)
+                return g[tuple(index)]
+
+            pulls.append(pull)
+            offset = hi
+        return pulls
+
+    return _emit("concat", out, ts, make_pulls)
 
 
 def slice_(x, start, stop, axis=0) -> Tensor:
@@ -332,15 +308,13 @@ def slice_(x, start, stop, axis=0) -> Tensor:
         full[index] = g
         return full
 
-    return _emit("slice", out, _pulls([(x, pull)]), x.tape)
+    return _emit("slice", out, (x,), lambda: (pull,))
 
 
 def reshape(x, shape) -> Tensor:
     x = _tensor(x)
-    out = x.values.reshape(shape)
     xshape = x.values.shape
-    pulls = _pulls([(x, lambda g: g.reshape(xshape))])
-    return _emit("reshape", out, pulls, x.tape)
+    return _emit("reshape", x.values.reshape(shape), (x,), lambda: (lambda g: g.reshape(xshape),))
 
 
 # ---------------------------------------------------------------------------
@@ -353,80 +327,82 @@ def sigmoid(x) -> Tensor:
     e = np.exp(-np.abs(v))  # 1/(1+e) where v >= 0, e/(1+e) below: no overflow either way
     out = np.where(v >= 0, 1.0, e)
     out /= 1.0 + e
-    pulls = _pulls([(x, lambda g: g * out * (1.0 - out))])
-    return _emit("sigmoid", out, pulls, x.tape)
+    return _emit("sigmoid", out, (x,), lambda: (lambda g: g * out * (1.0 - out),))
 
 
 def tanh(x) -> Tensor:
     x = _tensor(x)
     out = np.tanh(x.values)
-    pulls = _pulls([(x, lambda g: g * (1.0 - out * out))])
-    return _emit("tanh", out, pulls, x.tape)
+    return _emit("tanh", out, (x,), lambda: (lambda g: g * (1.0 - out * out),))
 
 
 def exp(x) -> Tensor:
     x = _tensor(x)
     out = np.exp(x.values)
-    pulls = _pulls([(x, lambda g: g * out)])
-    return _emit("exp", out, pulls, x.tape)
+    return _emit("exp", out, (x,), lambda: (lambda g: g * out,))
 
 
 def log(x) -> Tensor:
     x = _tensor(x)
-    if np.any(x.values <= 0.0):
-        raise DomainError("log requires strictly positive inputs")
-    out = np.log(x.values)
     xv = x.values
-    pulls = _pulls([(x, lambda g: g / xv)])
-    return _emit("log", out, pulls, x.tape)
+    if np.any(xv <= 0.0):
+        raise DomainError("log requires strictly positive inputs")
+    return _emit("log", np.log(xv), (x,), lambda: (lambda g: g / xv,))
 
 
 def relu(x) -> Tensor:
     x = _tensor(x)
-    out = np.maximum(x.values, 0.0)
-    gate = x.values > 0.0
-    pulls = _pulls([(x, lambda g: g * gate)])
-    return _emit("relu", out, pulls, x.tape)
+    xv = x.values
+
+    def make_pulls():
+        gate = xv > 0.0
+        return (lambda g: g * gate,)
+
+    return _emit("relu", np.maximum(xv, 0.0), (x,), make_pulls)
 
 
 def clip(x, lo, hi) -> Tensor:
     """Hard clamp; gradient passes through wherever lo <= x <= hi."""
     x = _tensor(x)
-    out = np.clip(x.values, lo, hi)
-    gate = (x.values >= lo) & (x.values <= hi)
-    pulls = _pulls([(x, lambda g: g * gate)])
-    return _emit("clip", out, pulls, x.tape)
+    xv = x.values
+
+    def make_pulls():
+        gate = (xv >= lo) & (xv <= hi)
+        return (lambda g: g * gate,)
+
+    return _emit("clip", np.clip(xv, lo, hi), (x,), make_pulls)
 
 
 def hypot(a, b) -> Tensor:
     """Elementwise sqrt(a² + b²); gradient defined as 0 at the origin."""
     a, b = _tensor(a), _tensor(b)
-    out = np.hypot(a.values, b.values)
-    safe = np.where(out == 0.0, 1.0, out)
     av, bv = a.values, b.values
-    pulls = _pulls(
-        [
-            (a, lambda g: _unbroadcast(g * av / safe, av.shape)),
-            (b, lambda g: _unbroadcast(g * bv / safe, bv.shape)),
-        ]
-    )
-    return _emit("hypot", out, pulls, _common_tape((a, b)))
+    out = np.hypot(av, bv)
+
+    def make_pulls():
+        safe = np.where(out == 0.0, 1.0, out)
+        return (
+            lambda g: _unbroadcast(g * av / safe, av.shape),
+            lambda g: _unbroadcast(g * bv / safe, bv.shape),
+        )
+
+    return _emit("hypot", out, (a, b), make_pulls)
 
 
 def atan2(y, x) -> Tensor:
     """Elementwise atan2; gradient zeroed where x² + y² < 1e-12 (noise bins)."""
     y, x = _tensor(y), _tensor(x)
-    out = np.arctan2(y.values, x.values)
-    d = x.values * x.values + y.values * y.values
-    inv = np.where(d < 1e-12, 0.0, 1.0 / np.where(d == 0.0, 1.0, d))
     yv, xv = y.values, x.values
-    pulls = _pulls(
-        [
-            (y, lambda g: _unbroadcast(g * xv * inv, yv.shape)),
-            (x, lambda g: _unbroadcast(-g * yv * inv, xv.shape)),
-        ]
-    )
-    return _emit("atan2", out, pulls, _common_tape((y, x)))
+
+    def make_pulls():
+        d = xv * xv + yv * yv
+        inv = np.where(d < 1e-12, 0.0, 1.0 / np.where(d == 0.0, 1.0, d))
+        return (
+            lambda g: _unbroadcast(g * xv * inv, yv.shape),
+            lambda g: _unbroadcast(-g * yv * inv, xv.shape),
+        )
+
+    return _emit("atan2", np.arctan2(yv, xv), (y, x), make_pulls)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +411,9 @@ def atan2(y, x) -> Tensor:
 
 def mean(x) -> Tensor:
     x = _tensor(x)
-    out = np.asarray(x.values.mean())
     n = x.values.size
     xshape = x.values.shape
-    pulls = _pulls([(x, lambda g: np.full(xshape, float(g) / n))])
-    return _emit("mean", out, pulls, x.tape)
+    return _emit("mean", np.asarray(x.values.mean()), (x,), lambda: (lambda g: np.full(xshape, float(g) / n),))
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +464,7 @@ def conv1d_depthwise(x, kernels, padding="same") -> Tensor:
             grad[c] = np.convolve(gf, xv[c][::-1])[width - 1 : width - 1 + kw]
         return grad
 
-    pulls = _pulls([(x, pull_x), (kernels, pull_k)])
-    return _emit("conv1d_depthwise", out, pulls, _common_tape((x, kernels)))
+    return _emit("conv1d_depthwise", out, (x, kernels), lambda: (pull_x, pull_k))
 
 
 def conv1d_pointwise(kernels, x) -> Tensor:
@@ -500,14 +473,7 @@ def conv1d_pointwise(kernels, x) -> Tensor:
     kv, xv = kernels.values, x.values
     if kv.ndim != 2 or xv.ndim != 2 or kv.shape[1] != xv.shape[0]:
         raise ValueError(f"pointwise conv shape mismatch: kernels {kv.shape}, signal {xv.shape}")
-    out = kv @ xv
-    pulls = _pulls(
-        [
-            (kernels, lambda g: g @ xv.T),
-            (x, lambda g: kv.T @ g),
-        ]
-    )
-    return _emit("conv1d_pointwise", out, pulls, _common_tape((kernels, x)))
+    return _emit("conv1d_pointwise", kv @ xv, (kernels, x), lambda: (lambda g: g @ xv.T, lambda g: kv.T @ g))
 
 
 # ---------------------------------------------------------------------------

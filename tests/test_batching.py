@@ -9,6 +9,7 @@ for skipped windows, held smoothing corrections) against the plain rules.
 import numpy as np
 import pytest
 
+from contextrnn import tape as tp
 from contextrnn.config import TrainConfig
 from contextrnn.data import SeriesPanel, SynthSpec, synth_generate
 from contextrnn.metrics import forecast_matrices
@@ -159,3 +160,24 @@ def test_rolling_sweep_ends_at_the_last_whole_target_window(monkeypatch):
     visited.clear()
     predict(params, panel, anchor=panel.T - 1, series=[0])  # past the grid: warms up over every stride below it
     assert visited == [*range(cfg.first_anchor, panel.T - 1, cfg.stride), panel.T - 1]
+
+
+def test_forward_only_sweeps_record_nothing(monkeypatch):
+    # no tape among the operands: no node is recorded and no pull closure is built
+    panel, params = gapped_panel(), gapped_model()
+    emits, made = [], []
+    emit = tp._emit
+
+    def spy(op, out_values, operands, make_pulls):
+        emits.append(op)
+        return emit(op, out_values, operands, lambda: made.append(op))
+
+    def record(self, op, pulls):
+        raise AssertionError(f"{op} recorded on a forward-only sweep")
+
+    monkeypatch.setattr(tp, "_emit", spy)
+    monkeypatch.setattr(tp.Tape, "_record", record)
+    assert rolling_forecast(params, panel, emit_from=0)
+    assert predict(params, panel, anchor=panel.T - 1)
+    assert validation_loss(params, panel) is not None
+    assert emits and made == []

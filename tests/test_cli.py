@@ -300,6 +300,16 @@ class TestMalformedValues:
     def test_synth_edge(self, tmp_path, capsys):
         self.assert_exit(["synth", "--edges", "0-a", "--out", str(tmp_path / "p.csv")], capsys, 1, "'0-a'")
 
+    def test_negative_seed(self, workspace, tmp_path, capsys):
+        root, config, data = workspace
+        self.assert_exit(["train", "--data", str(data), "--map", str(root / "ctx.map"), "--config", str(config),
+                          "--seed", "-1", "--out", str(tmp_path / "m.bin")], capsys, 2, "seed")
+        self.assert_exit(["synth", "--seed", "-1", "--out", str(tmp_path / "p.csv")], capsys, 2, "seed")
+
+    def test_synth_period_below_one(self, tmp_path, capsys):
+        # a period of 0 used to write a panel of nan cells, and exit 0
+        self.assert_exit(["synth", "--period", "0", "--out", str(tmp_path / "p.csv")], capsys, 2, "period")
+
     def test_synth_spec_value(self, tmp_path, capsys):
         spec = tmp_path / "panel.spec"
         spec.write_text("t = 50\nn = x\n")

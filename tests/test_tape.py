@@ -261,3 +261,67 @@ class TestDispatchAndChecks:
     def test_constants_do_not_record(self):
         out = tp.add(Tensor([1.0]), Tensor([2.0]))
         assert out.tape is None and out.node is None
+
+
+@pytest.fixture
+def emitted(monkeypatch):
+    """Spy on ``tp._emit``: the ops it wraps, their results, and the ops whose pull-maker ran."""
+    log = {"results": [], "made": []}
+    real = tp._emit
+
+    def spy(op, out_values, operands, make_pulls):
+        def counted():
+            log["made"].append(op)
+            return make_pulls()
+
+        result = real(op, out_values, operands, counted)
+        log["results"].append((op, result))
+        return result
+
+    monkeypatch.setattr(tp, "_emit", spy)
+    return log
+
+
+@pytest.mark.parametrize("op", PRIMITIVE_NAMES)
+def test_constant_operands_build_no_pulls(op, emitted):
+    fn, params = _random_case(op, np.random.default_rng(5))
+    out = fn([Tensor(p) for p in params])
+    assert out.tape is None and out.node is None
+    assert emitted["results"] and emitted["made"] == []
+    assert all(r.tape is None and r.node is None for _, r in emitted["results"])
+
+
+#: each binary primitive applied to two operands of compatible shapes
+BINARY_CASES = {
+    "add": ((3,), (3,)),
+    "sub": ((3,), (3,)),
+    "mul": ((3,), (3,)),
+    "div": ((3,), (3,)),
+    "hypot": ((3,), (3,)),
+    "atan2": ((3,), (3,)),
+    "matmul": ((2, 3), (3, 4)),
+    "concat": ((3,), (2,)),
+    "conv1d_depthwise": ((2, 5), (2, 3)),
+    "conv1d_pointwise": ((3, 2), (2, 4)),
+}
+
+
+@pytest.mark.parametrize("tracked", [0, 1], ids=["first-tracked", "second-tracked"])
+@pytest.mark.parametrize("op", sorted(BINARY_CASES))
+def test_one_tracked_operand_records_one_pull(op, tracked, emitted):
+    rng = np.random.default_rng(6)
+    tape = Tape()
+    operands = [Tensor(rng.uniform(0.5, 2.0, shape)) for shape in BINARY_CASES[op]]
+    operands[tracked] = leaf = tape.leaf(operands[tracked].values)
+    out = tp.concat(operands) if op == "concat" else getattr(tp, op)(*operands)
+    assert out.tape is tape and out.node == len(tape.nodes) - 1 == 1
+    assert [src for src, _ in tape.nodes[out.node].pulls] == [leaf.node]
+    assert len(emitted["made"]) == 1
+    grad = backward(tp.mean(out))[leaf.node]
+    assert grad.shape == leaf.values.shape
+
+
+def test_operand_on_a_tape_without_a_node_gets_no_pull():
+    tape = Tape()
+    out = tp.exp(Tensor([0.5, 1.0], tape))
+    assert out.tape is tape and tape.nodes[out.node].pulls == []
