@@ -38,7 +38,7 @@ signal = rng.normal(size=(2, 16))
 
 
 def conv_loss(params):
-    smoothed = tp.conv1d_depthwise(Tensor(signal), params[0], padding="same")
+    smoothed = tp.conv1d_depthwise(Tensor(signal), params[0])
     return tp.mean(tp.tanh(smoothed))
 
 

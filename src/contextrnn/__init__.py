@@ -14,7 +14,7 @@ Subpackages:
 - ``cli``: command-line surface
 """
 
-from .config import TrainConfig, load_config, save_config
+from .config import TrainConfig, load_config
 from .data import SeriesPanel, SynthSpec, load_panel, split, synth_generate
 from .metrics import EvalReport, corr, evaluate, rse
 from .model import (
@@ -37,7 +37,6 @@ __all__ = [
     "grad_check",
     "TrainConfig",
     "load_config",
-    "save_config",
     "SeriesPanel",
     "SynthSpec",
     "load_panel",

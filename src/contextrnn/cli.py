@@ -244,12 +244,10 @@ def _cmd_ablate(args) -> int:
     cm = read_context_map(args.map_path)
     train_panel, val_panel, _ = split(panel)
     test_start = int(math.floor(0.8 * panel.T))
-    results = {}
     for mode in ("full", "global", "none"):
         mode_cfg = cfg.with_overrides(context_mode=mode)
         params, _ = train(train_panel, cm if mode != "none" else None, mode_cfg, val_panel)
         report = evaluate(params, panel, test_start)
-        results[mode] = report.rse
         print(f"{mode} {report.rse:.6f}")
     return 0
 

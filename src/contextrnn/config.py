@@ -9,12 +9,12 @@ with the largest epoch not exceeding the current one wins).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import get_type_hints
 
 from .data import DataError, read_lines
 
-__all__ = ["TrainConfig", "load_config", "save_config", "parse_overrides"]
+__all__ = ["TrainConfig", "load_config", "parse_overrides"]
 
 
 def _default_batch_schedule():
@@ -156,23 +156,3 @@ def load_config(path, **overrides) -> TrainConfig:
         values[key.strip()] = _parse_value(key.strip(), value)
     values.update(overrides)
     return TrainConfig(**values)
-
-
-def _format_value(name, value):
-    if name == "dilations":
-        return ",".join(str(d) for d in value)
-    if name in _SCHEDULE_FIELDS:
-        return ",".join(f"{k}:{value[k]}" for k in sorted(value))
-    return str(value)
-
-
-def save_config(config: TrainConfig, path):
-    def dump(fh):
-        for f in fields(config):
-            fh.write(f"{f.name} = {_format_value(f.name, getattr(config, f.name))}\n")
-
-    if hasattr(path, "write"):
-        dump(path)
-    else:
-        with open(path, "w") as fh:
-            dump(fh)

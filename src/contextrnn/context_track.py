@@ -107,7 +107,7 @@ def init_conv_arrays(rng, window: int, u: int, channels: int = 8, kernel: int = 
 
 
 def _block(stack: Tensor, dw: Tensor, pw: Tensor, bias: Tensor, proj: Tensor) -> Tensor:
-    conv = tp.conv1d_depthwise(stack, dw, padding="same")
+    conv = tp.conv1d_depthwise(stack, dw)
     mixed = tp.add(tp.conv1d_pointwise(pw, conv), bias)
     return tp.add(tp.relu(mixed), tp.conv1d_pointwise(proj, stack))
 

@@ -5,6 +5,9 @@ All series data flows through :class:`SeriesPanel`, an immutable N×T value
 matrix with equally spaced timestamps and an observed-value mask. Panels
 holding non-positive values receive a recorded positivity shift at load
 time so the multiplicative decomposition and log preprocessing stay valid.
+
+Every reader and writer of the package takes a path or an open stream,
+through :func:`opened`.
 """
 
 from __future__ import annotations
@@ -12,12 +15,14 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DataError",
+    "opened",
     "SeriesPanel",
     "SynthSpec",
     "load_panel",
@@ -95,12 +100,16 @@ class SynthSpec:
             raise DataError("synthetic spec needs n >= 1 and T >= 2")
         if self.lag < 0 or self.seasonal_period < 1:
             raise DataError("lag must be non-negative and the seasonal period positive")
+        if not (math.isfinite(self.noise_sigma) and math.isfinite(self.coupling)):
+            raise DataError("noise and coupling must be finite")
         for edge in self.edges:
             if len(edge) not in (2, 3):
                 raise DataError(f"edge {edge} must be (driver, driven[, weight])")
             driver, driven = edge[0], edge[1]
             if not (0 <= driver < self.n and 0 <= driven < self.n) or driver == driven:
                 raise DataError(f"bad coupling edge ({driver}, {driven})")
+            if len(edge) == 3 and not math.isfinite(edge[2]):
+                raise DataError(f"edge ({driver}, {driven}) has a weight that is not finite")
 
     def weighted_edges(self):
         return [
@@ -121,12 +130,24 @@ def _parse_stamp(cell: str):
         raise DataError(f"first column must be ISO-8601 or integer index, got {cell!r}") from None
 
 
+@contextmanager
+def opened(path, mode: str = "r"):
+    """An open stream as given, or the file at ``path`` opened in ``mode``.
+
+    Text files are opened with ``newline=""``: readers split CRLF and LF
+    lines alike, and writers write their own line ends.
+    """
+    if hasattr(path, "write" if "w" in mode else "read"):
+        yield path
+        return
+    with open(path, mode, newline=None if "b" in mode else "") as fh:
+        yield fh
+
+
 def read_lines(path, what: str) -> list[str]:
-    """The lines of a text file, or of an open text stream; text that does not decode is a DataError."""
+    """The lines of a text file or stream; text that does not decode is a DataError."""
     try:
-        if hasattr(path, "read"):
-            return path.read().splitlines()
-        with open(path) as fh:
+        with opened(path) as fh:
             return fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} file does not decode as text: {exc}") from None
@@ -140,9 +161,7 @@ def load_panel(path) -> SeriesPanel:
     row and series. If any value is non-positive a global shift of
     ``1 - min + eps`` is applied and recorded on the panel.
     """
-    if hasattr(path, "read"):
-        return _read_panel(csv.reader(path))
-    with open(path, newline="") as fh:
+    with opened(path) as fh:
         return _read_panel(csv.reader(fh))
 
 
@@ -231,14 +250,12 @@ def _read_panel(reader) -> SeriesPanel:
     return SeriesPanel(values, timestamps, mask, freq, shift)
 
 
-def split(panel: SeriesPanel, ratios=(0.6, 0.2, 0.2)):
-    """Chronological train/validation/test split at floor(r1·T), floor((r1+r2)·T)."""
+def split(panel: SeriesPanel):
+    """Chronological 60/20/20 train/validation/test split at floor(0.6·T), floor(0.8·T)."""
     if panel.T < 10:
         raise DataError(f"panel too short to split: T={panel.T}")
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError("ratios must be three fractions summing to 1")
-    a = int(math.floor(ratios[0] * panel.T))
-    b = int(math.floor((ratios[0] + ratios[1]) * panel.T))
+    a = math.floor(0.6 * panel.T)
+    b = math.floor(0.8 * panel.T)
 
     def piece(lo, hi):
         return SeriesPanel(
@@ -308,25 +325,28 @@ def synth_generate(spec: SynthSpec, seed: int) -> SeriesPanel:
         base[i] = 10.0 + wave + noise
 
     values = np.empty((n, T))
-    for i in range(n):
-        if i in driven_by:
-            driver, weight = driven_by[i]
-            shifted = base[driver, pad - spec.lag : pad - spec.lag + T]
-            own = base[i, pad:]
-            values[i] = weight * shifted + own
-        else:
-            values[i] = base[i, pad:]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, as a DataError
+        for i in range(n):
+            if i in driven_by:
+                driver, weight = driven_by[i]
+                shifted = base[driver, pad - spec.lag : pad - spec.lag + T]
+                own = base[i, pad:]
+                values[i] = weight * shifted + own
+            else:
+                values[i] = base[i, pad:]
 
-    low = values.min()
-    if low <= 0.0:
-        values = values + (1.0 - low + SHIFT_EPS)
+        low = values.min()
+        if low <= 0.0:
+            values = values + (1.0 - low + SHIFT_EPS)
+    if not np.isfinite(values).all():
+        raise DataError("synthetic panel overflows float64: lower the coupling or the noise")
     timestamps = tuple(INDEX_EPOCH + dt.timedelta(hours=t) for t in range(T))
     return SeriesPanel(values, timestamps, np.ones((n, T), dtype=bool), dt.timedelta(hours=1))
 
 
 def write_panel_csv(panel: SeriesPanel, path):
     """Write a panel back to the CSV layout accepted by load_panel."""
-    def dump(fh):
+    with opened(path, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for t in range(panel.T):
             row = [panel.timestamps[t].isoformat()]
@@ -334,23 +354,11 @@ def write_panel_csv(panel: SeriesPanel, path):
                 row.append(repr(float(panel.values[j, t] - panel.shift)) if panel.mask[j, t] else "")
             writer.writerow(row)
 
-    if hasattr(path, "write"):
-        dump(path)
-    else:
-        with open(path, "w", newline="") as fh:
-            dump(fh)
-
 
 def write_forecast_csv(rows, path):
     """Write forecast rows (timestamp, series, median, lower, upper)."""
-    def dump(fh):
+    with opened(path, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["timestamp", "series", "median", "lower", "upper"])
         for stamp, series, med, lo, hi in rows:
             writer.writerow([stamp.isoformat(), series, repr(float(med)), repr(float(lo)), repr(float(hi))])
-
-    if hasattr(path, "write"):
-        dump(path)
-    else:
-        with open(path, "w", newline="") as fh:
-            dump(fh)

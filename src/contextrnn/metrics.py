@@ -92,20 +92,8 @@ class EvalReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        raw = json.loads(text)
-        return cls(
-            rse=raw["rse"],
-            corr=raw["corr"],
-            per_horizon={int(h): tuple(v) for h, v in raw["per_horizon"].items()},
-            runtime_seconds=raw["runtime_seconds"],
-            config=raw.get("config", {}),
-            corr_skipped=raw.get("corr_skipped", 0),
-        )
 
-
-def forecast_matrices(params: ModelParams, panel: SeriesPanel, emit_from: int, series=None):
+def forecast_matrices(params: ModelParams, panel: SeriesPanel, emit_from: int):
     """Rolling medians vs actuals: (predicted, actual) of shape (series, anchors, fh).
 
     The rolling sweep stops at the last anchor whose horizon fits the
@@ -116,13 +104,12 @@ def forecast_matrices(params: ModelParams, panel: SeriesPanel, emit_from: int, s
     original units.
     """
     cfg = params.config
-    series = list(range(panel.n)) if series is None else list(series)
-    forecasts = rolling_forecast(params, panel, emit_from, series)
+    forecasts = rolling_forecast(params, panel, emit_from)
     anchors = sorted(forecasts)
     if not anchors:
         raise DataError("no complete forecast windows inside the evaluation region")
     pred_rows, act_rows = [], []
-    for sid in series:
+    for sid in range(panel.n):
         pred, act = [], []
         for t in anchors:
             got = forecasts[t].get(sid)
@@ -155,14 +142,14 @@ def _scored(matrix: np.ndarray, scored: np.ndarray) -> np.ndarray:
     return matrix if scored.all() else matrix[scored]
 
 
-def evaluate(params: ModelParams, panel: SeriesPanel, test_start: int, series=None, config_echo=None) -> EvalReport:
+def evaluate(params: ModelParams, panel: SeriesPanel, test_start: int, config_echo=None) -> EvalReport:
     """Rolling evaluation over every grid anchor at or past ``test_start``.
 
     RSE is taken over all scored cells; CORR, overall and per horizon, over
     each series' own scored cells.
     """
     start = time.perf_counter()
-    predicted, actual = forecast_matrices(params, panel, max(test_start, params.config.first_anchor), series)
+    predicted, actual = forecast_matrices(params, panel, max(test_start, params.config.first_anchor))
     n_series, n_anchors, fh = predicted.shape
     scored = ~np.isnan(actual)
 

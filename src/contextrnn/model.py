@@ -42,7 +42,7 @@ from .context_track import (
     init_conv_arrays,
     modulate,
 )
-from .data import DataError, SeriesPanel, calendar_features, postprocess
+from .data import DataError, SeriesPanel, calendar_features, opened, postprocess
 from .selection import ContextMap
 from .smoothing import DEFAULT_LOGIT, ESState, es_init, es_skip, es_step, future_factors
 from .tape import DomainError, Tape, Tensor, backward
@@ -74,6 +74,11 @@ FORMAT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+#: the most parameter values a model may hold: 2**31 float64 values are
+#: 16 GiB, and training keeps four more arrays of that size (the Adam
+#: moments, the gradients and the best epoch's copy)
+MAX_PARAMETERS = 2**31
 
 
 class DivergenceError(Exception):
@@ -208,6 +213,8 @@ def init_model(config: TrainConfig, n_series: int, context_map: ContextMap | Non
     else:
         global_batch = ()
 
+    overdrawn = f"config asks for more than {MAX_PARAMETERS} parameters"
+    _parameter_arrays(config, n_series, _Shapes(MAX_PARAMETERS, config, overdrawn))  # sizes checked, nothing drawn
     arrays = _parameter_arrays(config, n_series, np.random.default_rng(config.seed))
     return ModelParams(config, n_series, tuple(global_batch), arrays)
 
@@ -215,28 +222,28 @@ def init_model(config: TrainConfig, n_series: int, context_map: ContextMap | Non
 class _Shapes:
     """Stands in for the generator where zeroed arrays of the parameter shapes are wanted.
 
-    A config that asks for more drawn values than ``budget`` fails before
-    they are allocated, so a model file cannot make its reader build arrays
-    larger than the file. Each width of ``config`` that sizes an array is
-    one of that array's dimensions, so it is held to the budget first,
+    A config that asks for more drawn values than ``budget`` fails with
+    ``overdrawn`` before they are allocated, so a model file cannot make its
+    reader build arrays larger than the file, nor a config its trainer
+    arrays larger than memory. Each width of ``config`` that sizes an array
+    is one of that array's dimensions, so it is held to the budget first,
     before any arithmetic on it (``np.sqrt`` fails on an int beyond uint64).
     A dilation sizes the rings of its cells' states, so it is held there too.
     """
 
-    OVERDRAWN = "model file's config asks for more parameters than the file holds"
-
-    def __init__(self, budget: int, config: TrainConfig):
+    def __init__(self, budget: int, config: TrainConfig, overdrawn: str):
         self.left = budget
+        self.overdrawn = overdrawn
         widths = [input_width(config), config.horizon, config.state_width, config.hidden_width, *config.dilations]
         if config.context_mode != "none":
             widths += [config.context_size, config.context_batch, config.conv_channels, config.conv_kernel]
         if max(widths) > budget:
-            raise DataError(self.OVERDRAWN)
+            raise DataError(overdrawn)
 
     def uniform(self, low, high, size):
         self.left -= math.prod(size)
         if self.left < 0:
-            raise DataError(self.OVERDRAWN)
+            raise DataError(self.overdrawn)
         return np.zeros(size)
 
 
@@ -587,6 +594,9 @@ def train(
         raise DataError(
             f"panel too short: need T >= {cfg.first_anchor + cfg.horizon}, got {train_panel.T}"
         )
+    if max(cfg.dilations) > train_panel.T:
+        # a ring longer than the panel is read only at its zero start, and would be built entry by entry
+        raise DataError(f"dilation {max(cfg.dilations)} exceeds the training panel's {train_panel.T} steps")
     params = init_model(cfg, train_panel.n, context_map)
     adam = Adam({name: params.arrays[name] for name in params.trainable})
     order_rng = np.random.default_rng([cfg.seed, 0xBA7C])
@@ -829,8 +839,7 @@ def save_model(params: ModelParams, path):
     """Versioned binary dump; block order is sorted by name for determinism."""
     blocks = _file_blocks(params.arrays)
     blocks.update(_meta_blocks(params))
-
-    def dump(fh):
+    with opened(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(blocks)))
@@ -843,12 +852,6 @@ def save_model(params: ModelParams, path):
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(arr.tobytes())
 
-    if hasattr(path, "write"):
-        dump(path)
-    else:
-        with open(path, "wb") as fh:
-            dump(fh)
-
 
 def load_model(path) -> ModelParams:
     """Read a model file; a truncated, padded or malformed file is a DataError.
@@ -856,12 +859,8 @@ def load_model(path) -> ModelParams:
     The parameter blocks must be exactly those ``init_model`` makes for the
     stored config and series count, each of the shape it makes.
     """
-    if hasattr(path, "read"):
-        data = path.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    data = memoryview(data)  # blocks are read in place and copied once, into the parameter arrays
+    with opened(path, "rb") as fh:
+        data = memoryview(fh.read())  # blocks are read in place and copied once, into the parameter arrays
     pos = 0
 
     def take(size: int, what: str) -> memoryview:
@@ -899,7 +898,9 @@ def load_model(path) -> ModelParams:
     size = sum(arr.size for arr in stored.values())
     if not 0 < n_series <= size:
         raise DataError(f"model file is for {n_series} series but holds {size} parameter values")
-    arrays = _parameter_arrays(config, n_series, _Shapes(size, config))
+    arrays = _parameter_arrays(
+        config, n_series, _Shapes(size, config, "model file's config asks for more parameters than the file holds")
+    )
     expected = _file_blocks(arrays)
     missing, extra = sorted(expected.keys() - stored.keys()), sorted(stored.keys() - expected.keys())
     if missing:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, SeriesPanel, read_lines
+from .data import DataError, SeriesPanel, opened, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -524,16 +524,10 @@ def build_context_map(
 
 def write_context_map(cm: ContextMap, path):
     """Text format: one `target: ctx,...` line per target, then a GLOBAL line."""
-    def dump(fh):
+    with opened(path, "w") as fh:
         for target in sorted(cm.per_target):
             fh.write(f"{target}: {','.join(str(i) for i in cm.per_target[target])}\n")
         fh.write(f"GLOBAL: {','.join(str(i) for i in cm.global_batch)}\n")
-
-    if hasattr(path, "write"):
-        dump(path)
-    else:
-        with open(path, "w") as fh:
-            dump(fh)
 
 
 def read_context_map(path) -> ContextMap:

@@ -99,14 +99,6 @@ class Tensor:
         self.tape = tape
         self.node = node
 
-    @property
-    def shape(self):
-        return self.values.shape
-
-    @property
-    def size(self):
-        return self.values.size
-
     def item(self) -> float:
         return float(self.values)
 
@@ -117,24 +109,6 @@ class Tensor:
     def __repr__(self):
         tracked = "" if self.node is None else f", node={self.node}"
         return f"Tensor(shape={self.values.shape}{tracked})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
 
 
 def _tensor(x) -> Tensor:
@@ -420,31 +394,18 @@ def mean(x) -> Tensor:
 # 1-D convolutions (true convolution: kernel is flipped)
 
 
-def _conv_slice(full_len, width, kw, padding):
-    if padding == "same":
-        start = (kw - 1) // 2
-        return start, start + width
-    if padding == "valid":
-        return kw - 1, width  # length W - kw + 1
-    raise ValueError(f"unknown padding mode {padding!r}")
-
-
-def conv1d_depthwise(x, kernels, padding="same") -> Tensor:
-    """Per-channel 1-D convolution of a (C, W) stack with (C, kw) kernels.
-
-    'same' keeps length W with zero padding; 'valid' yields W - kw + 1.
-    """
+def conv1d_depthwise(x, kernels) -> Tensor:
+    """Per-channel 1-D convolution of a (C, W) stack with (C, kw) kernels, zero-padded to length W."""
     x, kernels = _tensor(x), _tensor(kernels)
     xv, kv = x.values, kernels.values
     if xv.ndim != 2 or kv.ndim != 2 or xv.shape[0] != kv.shape[0]:
         raise ValueError(f"depthwise conv shape mismatch: signal {xv.shape}, kernels {kv.shape}")
     channels, width = xv.shape
     kw = kv.shape[1]
-    if padding == "valid" and kw > width:
-        raise ValueError("kernel longer than signal with valid padding")
     full_len = width + kw - 1
-    lo, hi = _conv_slice(full_len, width, kw, padding)
-    out = np.empty((channels, hi - lo))
+    lo = (kw - 1) // 2
+    hi = lo + width
+    out = np.empty((channels, width))
     for c in range(channels):
         out[c] = np.convolve(xv[c], kv[c])[lo:hi]
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from contextrnn import model as model_module
 from contextrnn.cli import run_cli
 from contextrnn.config import SCALAR_FIELDS
 from contextrnn.data import SeriesPanel, load_panel, write_panel_csv
-from contextrnn.metrics import EvalReport, forecast_matrices
+from contextrnn.metrics import forecast_matrices
 from contextrnn.model import load_model, save_model
 
 TINY_CONFIG = """
@@ -95,8 +96,8 @@ class TestPipeline:
         capsys.readouterr()
 
         assert run_cli(["evaluate", "--model", str(model), "--data", str(data)]) == 0
-        report = EvalReport.from_json(capsys.readouterr().out)
-        assert report.rse >= 0.0
+        report = json.loads(capsys.readouterr().out)
+        assert report["rse"] >= 0.0
 
     def test_deterministic_model_files(self, workspace, tmp_path):
         root, config, data = workspace
@@ -149,10 +150,10 @@ class TestUnevenlyObservedEvaluation:
         capsys.readouterr()
 
         assert run_cli(["evaluate", "--model", str(model), "--data", str(gapped)]) == 0
-        report = EvalReport.from_json(capsys.readouterr().out)
+        report = json.loads(capsys.readouterr().out)
 
         params, panel = load_model(str(model)), load_panel(str(gapped))
-        start = max(report.config["test_start"], params.config.first_anchor)
+        start = max(report["config"]["test_start"], params.config.first_anchor)
         predicted, actual = forecast_matrices(params, panel, start)
         scored = ~np.isnan(actual)
         assert not scored.all() and scored[1].sum() < scored[0].sum()
@@ -163,14 +164,14 @@ class TestUnevenlyObservedEvaluation:
         def brute_corr(p_rows, a_rows):
             return np.mean([np.corrcoef(p, a)[0, 1] for p, a in zip(p_rows, a_rows)])
 
-        assert report.rse == pytest.approx(brute_rse(predicted[scored], actual[scored]), abs=1e-12)
+        assert report["rse"] == pytest.approx(brute_rse(predicted[scored], actual[scored]), abs=1e-12)
         own = [scored[i].reshape(-1) for i in range(panel.n)]
-        assert report.corr == pytest.approx(
+        assert report["corr"] == pytest.approx(
             brute_corr([predicted[i].reshape(-1)[own[i]] for i in range(panel.n)],
                        [actual[i].reshape(-1)[own[i]] for i in range(panel.n)]), abs=1e-12)
         for h in range(params.config.horizon):
             keep = scored[:, :, h]
-            got_rse, got_corr = report.per_horizon[h + 1]
+            got_rse, got_corr = report["per_horizon"][str(h + 1)]
             assert got_rse == pytest.approx(brute_rse(predicted[:, :, h][keep], actual[:, :, h][keep]), abs=1e-12)
             assert got_corr == pytest.approx(
                 brute_corr([predicted[i, keep[i], h] for i in range(panel.n)],
@@ -309,6 +310,32 @@ class TestMalformedValues:
     def test_synth_period_below_one(self, tmp_path, capsys):
         # a period of 0 used to write a panel of nan cells, and exit 0
         self.assert_exit(["synth", "--period", "0", "--out", str(tmp_path / "p.csv")], capsys, 2, "period")
+
+    @pytest.mark.parametrize("flags, match", [
+        (["--noise", "inf"], "finite"),
+        (["--edges", "0-1:inf"], "finite"),
+        (["--coupling", "1e308", "--edges", "0-1"], "overflows"),
+    ])
+    def test_synth_refuses_what_its_reader_refuses(self, tmp_path, capsys, flags, match):
+        # these used to exit 0 after writing inf and nan cells, on which load_panel exits 2
+        out = tmp_path / "p.csv"
+        self.assert_exit(["synth", *flags, "--out", str(out)], capsys, 2, match)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, match", [
+        ("dilations=1,1099511627776", "dilation 1099511627776"),
+        ("hidden_width=1000000000000", "parameters"),
+        ("hidden_width=10000000000000000000", "parameters"),
+        ("context_size=1000000000000", "parameters"),
+    ])
+    def test_config_size_beyond_memory(self, workspace, tmp_path, capsys, setting, match):
+        # these used to build ring entries until memory ran out, or to end in
+        # MemoryError or numpy's size errors: a traceback and exit 1
+        _root, config, data = workspace
+        cmap = tmp_path / "ctx.map"
+        cmap.write_text("0: 1,2\n1: 0,2\n2: 0,1\n3: 0,1\nGLOBAL: 0,1\n")
+        self.assert_exit(["train", "--data", str(data), "--map", str(cmap), "--config", str(config),
+                          "--set", setting, "--out", str(tmp_path / "m.bin")], capsys, 2, match)
 
     def test_synth_spec_value(self, tmp_path, capsys):
         spec = tmp_path / "panel.spec"

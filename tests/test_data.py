@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextrnn.config import TrainConfig
+from contextrnn.config import TrainConfig, load_config
 from contextrnn.data import (
     DataError,
     SeriesPanel,
@@ -21,9 +21,11 @@ from contextrnn.data import (
     preprocess_window,
     split,
     synth_generate,
+    write_forecast_csv,
     write_panel_csv,
 )
-from contextrnn.model import _Sweep, _Views, init_model
+from contextrnn.model import _Sweep, _Views, init_model, load_model, save_model
+from contextrnn.selection import ContextMap, read_context_map, write_context_map
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -173,6 +175,68 @@ def test_round_trip_of_a_shifted_panel_is_within_ulps_of_the_shift(text):
     panel = load_panel(io.StringIO(text))
     scale = max(panel.shift, float(panel.values.max()))
     assert_same_panel(round_trip(panel), panel, atol=4 * np.spacing(scale) if panel.shift else 0.0)
+
+
+def assert_equal(a, b):
+    assert a == b
+
+
+class TestPathOrStream:
+    """Every reader and writer takes a path or an open stream, through ``data.opened``."""
+
+    PANEL = "2020-01-01T00:00:00,1.5,\n2020-01-01T01:00:00,-2.0,3.25\n2020-01-01T02:00:00,4.0,5.0\n"
+    CONFIG = "window = 16\nperiod = 8\ndilations = 1,2\nlr_schedule = 1:0.003,3:0.001\ncontext_mode = global\n"
+    MAP = "0: 1\n1: 2\n2: 0\nGLOBAL: 0,1\n"
+    #: each text format: a file's text, its reader, and how two reads are compared
+    TEXTS = {
+        "panel": (PANEL, load_panel, assert_same_panel),
+        "config": (CONFIG, load_config, assert_equal),
+        "map": (MAP, read_context_map, assert_equal),
+    }
+
+    @staticmethod
+    def model():
+        cmap = ContextMap({0: (1,), 1: (2,), 2: (0,)}, (0, 1), 1, 2)
+        config = TrainConfig(window=16, period=8, dilations=(1, 2), context_batch=2, hidden_width=8, state_width=6)
+        return init_model(config, 3, cmap)
+
+    @pytest.mark.parametrize("writer", ["model", "map", "panel", "forecast"])
+    def test_writers_write_the_same_bytes(self, tmp_path, writer):
+        write = {
+            "model": lambda out: save_model(self.model(), out),
+            "map": lambda out: write_context_map(read_context_map(io.StringIO(self.MAP)), out),
+            "panel": lambda out: write_panel_csv(panel_from_text(self.PANEL), out),
+            "forecast": lambda out: write_forecast_csv([(dt.datetime(2020, 1, 1), 2, 1.5, 1.0, 2.5)], out),
+        }[writer]
+        path = tmp_path / "out"
+        write(str(path))
+        stream = io.BytesIO() if writer == "model" else io.StringIO()
+        write(stream)
+        got = stream.getvalue()
+        assert path.read_bytes() == (got if writer == "model" else got.encode())
+
+    def test_model_reads_the_same_from_both(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(self.model(), str(path))
+        a, b = load_model(str(path)), load_model(io.BytesIO(path.read_bytes()))
+        assert (a.config, a.n_series, a.global_batch) == (b.config, b.n_series, b.global_batch)
+        assert {k: v.tobytes() for k, v in a.arrays.items()} == {k: v.tobytes() for k, v in b.arrays.items()}
+
+    @pytest.mark.parametrize("kind", sorted(TEXTS))
+    def test_text_reads_the_same_from_both(self, tmp_path, kind):
+        text, read, same = self.TEXTS[kind]
+        path = tmp_path / "file.txt"
+        path.write_bytes(text.encode())
+        same(read(str(path)), read(io.StringIO(text)))
+
+    @pytest.mark.parametrize("kind", sorted(TEXTS))
+    def test_crlf_lines_read_as_lf_lines(self, tmp_path, kind):
+        text, read, same = self.TEXTS[kind]
+        crlf = text.replace("\n", "\r\n")
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(crlf.encode())
+        same(read(str(path)), read(io.StringIO(text)))
+        same(read(io.StringIO(crlf, newline="")), read(io.StringIO(text)))
 
 
 class TestSplit:

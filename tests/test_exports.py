@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import contextrnn
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = sorted(
     f"contextrnn.{info.name}"
@@ -21,6 +24,40 @@ def test_every_export_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names undefined {missing}"
+
+
+#: exported names that no program code needs to reach, each with its reason
+UNREACHED_EXPORTS = {
+    "preprocess_window": "the reference formula that tests compare the sweep's window against",
+}
+
+
+def _names_in_use() -> set:
+    """Every ``Name``, ``Attribute`` and import alias in the program: src/ outside __init__.py, perfbench/, demos/."""
+    files = [f for f in sorted((ROOT / "src").rglob("*.py")) if f.name != "__init__.py"]
+    files += sorted((ROOT / "perfbench").rglob("*.py")) + sorted((ROOT / "demos").rglob("*.py"))
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def test_every_export_has_a_use_outside_tests():
+    # an API in src/ that only tests call is code to delete
+    used = _names_in_use()
+    unused = [
+        f"{name}.{export}"
+        for name in MODULES
+        for export in importlib.import_module(name).__all__
+        if export not in used and export not in UNREACHED_EXPORTS
+    ]
+    assert not unused, f"exported, yet used only by tests or not at all: {unused}"
 
 
 def test_model_commands_do_not_import_scipy():

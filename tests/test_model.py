@@ -10,7 +10,7 @@ from contextrnn import model
 from contextrnn import tape as tp
 from contextrnn.cells import CELL_FIELDS
 from contextrnn.cli import run_cli
-from contextrnn.config import TrainConfig, load_config, parse_overrides, save_config
+from contextrnn.config import TrainConfig, load_config, parse_overrides
 from contextrnn.data import DataError, SynthSpec, split, synth_generate, write_panel_csv
 from contextrnn.model import (
     Adam,
@@ -51,6 +51,26 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+#: tiny_config(epochs=1) as a config file
+TINY_CONFIG_TEXT = """\
+epochs = 1
+batch_schedule = 1:2
+lr_schedule = 1:0.003
+window = 16
+horizon = 4
+period = 8
+dilations = 1,2
+context_size = 2
+context_batch = 2
+state_width = 6
+hidden_width = 8
+conv_channels = 4
+stride = 4
+steps_per_update = 8
+seed = 0
+"""
 
 
 def tiny_panel(seed=0, n=4, T=120, noise=0.05):
@@ -211,12 +231,9 @@ class TestConfig:
         with pytest.raises(DataError, match=match):
             TrainConfig(**{field: value})
 
-    def test_file_roundtrip(self):
-        cfg = tiny_config(gamma=0.7, context_mode="global")
-        buf = io.StringIO()
-        save_config(cfg, buf)
-        again = load_config(io.StringIO(buf.getvalue()))
-        assert again == cfg
+    def test_file_values(self):
+        text = TINY_CONFIG_TEXT + "# a comment\ngamma = 0.7  # trailing comment\ncontext_mode = global\n"
+        assert load_config(io.StringIO(text)) == tiny_config(epochs=1, gamma=0.7, context_mode="global")
 
     def test_overrides(self):
         got = parse_overrides(["window=24", "lr_schedule=1:0.01,5:0.001", "dilations=1,3"])
@@ -342,7 +359,7 @@ class TestTraining:
         data, cmap, config = tmp_path / "panel.csv", tmp_path / "ctx.map", tmp_path / "run.cfg"
         write_panel_csv(tiny_panel(), str(data))
         write_context_map(tiny_map(), str(cmap))
-        save_config(tiny_config(epochs=1), str(config))
+        config.write_text(TINY_CONFIG_TEXT)
         base = ["train", "--data", str(data), "--map", str(cmap), "--config", str(config)]
         out = tmp_path / "m.bin"
         assert run_cli(base + ["--set", "ensemble=2", "--out", str(out)]) == 0
