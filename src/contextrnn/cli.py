@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from .config import TrainConfig, load_config, parse_overrides
@@ -65,6 +66,11 @@ _SYNTH_FIELDS = {"n": (int, 4), "t": (int, 400), "edges": (_parse_edges, ()), "c
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1.5" as a value but "-1e308" or "-inf" as a flag: read any negative number as a value
+        self._negative_number_matcher = re.compile(r"^-(inf|infinity|(\d+\.?\d*|\.\d+)(e[+-]?\d+)?)$", re.IGNORECASE)
+
     def error(self, message):
         raise UsageError(message)
 

@@ -14,12 +14,11 @@ matrix products, MI by counting equal-width bin codes, one ``bincount`` per
 target row. The spanning tree is built from the Pearson matrix, so a
 selection computes Pearson once.
 
-What does not depend on the partner is computed once. Per series: its
-ranking by value (which gives its extremes on every pair's joint cells),
-its bin codes and the entropy term of its own histogram, which every pair
-whose partner observes all of the series' cells reuses. Per Granger target
-and joint run: the own-lag regressors, their Gram and the restricted fit,
-so each candidate adds only its own lag rows to the normal equations. The
+What does not depend on the partner is computed once, and a per-pair
+correction costs the cells the partner misses, not the cells the pair
+holds: the search for each pair's extremes, the MI marginal histograms
+and Granger's joint runs all start from missed cells, and a candidate's
+lag Gram is built once per joint run, whichever targets test it. The
 shortlist is one stable ``argsort`` of the aggregated weights.
 """
 
@@ -52,6 +51,9 @@ __all__ = [
 
 #: ridge jitter added to normal equations when a Granger regression is singular
 RIDGE = 1e-8
+
+#: a series whose largest magnitude lies beyond 2**±SCALE_EXPONENT is scaled to about 1 for Granger tests
+SCALE_EXPONENT = 100
 
 MIN_PAIR_OBS_CORR = 3
 MIN_PAIR_OBS_MI = 32
@@ -94,58 +96,53 @@ class GrangerResult:
     tests_performed: int
 
 
-def _joint_counts(panel: SeriesPanel, least: int) -> np.ndarray:
-    """Cells observed by both series, per pair, as an n×n float matrix.
-
-    Raises DataError naming the first pair (i, j >= i), in row order, that
-    shares fewer than ``least`` cells.
-    """
+def _joint_counts(panel: SeriesPanel) -> np.ndarray:
+    """Cells observed by both series, per pair, as an n×n float matrix."""
     observed = panel.mask.astype(np.float64)
-    counts = observed @ observed.T
+    return observed @ observed.T
+
+
+def _require_joint(counts: np.ndarray, least: int):
+    """Raise DataError naming the first pair (i, j >= i), in row order, that shares fewer than ``least`` cells."""
     short = np.argwhere(np.triu(counts < least))
     if short.size:
         i, j = short[0]
         raise DataError(f"series pair ({i}, {j}) has {int(counts[i, j])} joint points, need >= {least}")
-    return counts
-
-
-def _first_shared(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """For every series, the position in ``cells`` of the first cell it observes.
-
-    Scans ``cells`` in blocks that grow fourfold, so a series that observes
-    one of the first cells costs one short block. A series observing none
-    of them gets 0.
-    """
-    first = np.zeros(mask.shape[0], dtype=np.intp)
-    todo = np.arange(mask.shape[0])
-    start, size = 0, 8
-    while todo.size and start < cells.size:
-        block = mask[todo[:, None], cells[start : start + size]]
-        hit = block.any(axis=1)
-        first[todo[hit]] = start + block[hit].argmax(axis=1)
-        todo = todo[~hit]
-        start, size = start + size, 4 * size
-    return first
 
 
 def _joint_extremes(panel: SeriesPanel):
     """lo[i, j] and hi[i, j]: the least and greatest value of series i on the cells j observes too.
 
-    Each series' observed cells are ranked once; the first of them that j
-    observes, from either end, holds the joint minimum or maximum. The
-    entries of a pair without a joint cell mean nothing, so read them only
-    after ``_joint_counts`` has passed.
+    In series i's cells ranked by value, the first that j observes, from
+    either end, holds the joint minimum or maximum. No series misses more
+    than ``depth - 1`` cells, so only the first ``depth`` cells from each
+    end are ranked, and only partners that miss cells search them; any
+    other partner observes the first. The entries of a pair without a
+    joint cell mean nothing, so read them only after ``_require_joint``
+    has passed.
     """
-    n = panel.n
-    lo, hi = np.full((n, n), np.nan), np.full((n, n), np.nan)
-    for i in range(n):
-        cells = np.flatnonzero(panel.mask[i])
-        if not cells.size:
-            continue
-        ranked = cells[np.argsort(panel.values[i, cells], kind="stable")]
-        lo[i] = panel.values[i, ranked[_first_shared(panel.mask, ranked)]]
-        hi[i] = panel.values[i, ranked[::-1][_first_shared(panel.mask, ranked[::-1])]]
-    return lo, hi
+    n, T = panel.n, panel.T
+    mask, values = panel.mask, panel.values
+    depth = min(T, T - int(mask.sum(axis=1).min()) + 1)
+    every = np.arange(n)
+    gapped = np.flatnonzero(~mask.all(axis=1))
+    extremes = []
+    for sign in (1, -1):
+        keys = np.where(mask, values, sign * np.inf)
+        keys *= sign
+        # each row's depth least keys, and any more tied with the last of them
+        rows, cols = np.nonzero(keys <= np.partition(keys, depth - 1, axis=1)[:, depth - 1 : depth])
+        # ranked as a stable sort of the row ranks it, which hi reads backwards: equal values
+        # from the left for lo, from the right for hi
+        ranked = cols[np.lexsort((sign * cols, keys[rows, cols], rows))]
+        cells = ranked[np.searchsorted(rows, every)[:, None] + np.arange(depth)]
+        # the search holds (partners, series, depth) booleans: at most about n·T at a time
+        first = np.zeros((n, n), dtype=np.intp)
+        block = max(1, T // depth)
+        for s in range(0, n, block):
+            first[gapped, s : s + block] = mask[gapped[:, None, None], cells[s : s + block]].argmax(axis=2)
+        extremes.append(values[every[:, None], cells[every[:, None], first.T]])
+    return tuple(extremes)
 
 
 def _varies(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -154,15 +151,17 @@ def _varies(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return varies & varies.T
 
 
-def pearson_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
+def pearson_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix:
     """Pairwise-complete Pearson coefficients; a series constant on a pair's joint cells scores 0.
 
     Every pair at once, as masked matrix products: each series is centred
     on its own observed mean and zeroed where missing, which keeps the
     one-pass sums within rounding of centring on each pair's joint mean.
-    ``extremes`` is the panel's ``_joint_extremes``, computed here if not given.
+    ``extremes`` and ``counts`` are the panel's ``_joint_extremes`` and
+    ``_joint_counts``, computed here if not given.
     """
-    counts = _joint_counts(panel, MIN_PAIR_OBS_CORR)
+    counts = _joint_counts(panel) if counts is None else counts
+    _require_joint(counts, MIN_PAIR_OBS_CORR)
     observed = panel.mask.astype(np.float64)
     values = np.where(panel.mask, panel.values, 0.0)
     centred = np.where(panel.mask, values - (values.sum(axis=1) / observed.sum(axis=1))[:, None], 0.0)
@@ -241,7 +240,7 @@ def _bin_codes(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: np.ndar
         codes -= down
 
 
-def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
+def mi_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix:
     """Equal-width-histogram mutual information in nats, pairwise complete.
 
     A pair of N joint cells is binned as ``np.histogram2d`` bins it: on
@@ -255,13 +254,17 @@ def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
     ``bincount``, a cell that either series misses counted past the last
     pair and cut off, and scores them in entropy form,
     MI = (Σ c_xy log c_xy - Σ c_x log c_x - Σ c_y log c_y) / N + log N.
-    A marginal term Σ c log c is taken from the series' own histogram,
-    computed once per series, when the partner observes every cell the
-    series observes: the pair then bins the series as it is binned alone.
-    ``extremes`` is the panel's ``_joint_extremes``, computed here if not given.
+    A marginal term Σ c log c of a pair that bins a series as it is binned
+    alone comes from the series' own histogram, less the histogram of its
+    codes on the cells the partner misses: one offset ``bincount`` per
+    series that misses cells. Only a pair that bins a series anew sums its
+    joint table for that marginal. ``extremes`` and ``counts`` are the
+    panel's ``_joint_extremes`` and ``_joint_counts``, computed here if not
+    given.
     """
     n, T = panel.n, panel.T
-    counts = _joint_counts(panel, MIN_PAIR_OBS_MI).astype(np.intp)
+    counts = _joint_counts(panel) if counts is None else counts
+    _require_joint(counts, MIN_PAIR_OBS_MI)
     lo, hi = extremes or _joint_extremes(panel)
     varies = _varies(lo, hi)
     bins = _bin_count(counts)
@@ -270,16 +273,24 @@ def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
     codes = _bin_codes(values, own_lo, own_hi, own_bins)
     # own[i, j]: pair (i, j) bins series i as series i alone is binned
     own = (lo == own_lo[:, None]) & (hi == own_hi[:, None]) & (bins == own_bins[:, None])
-    # covered[i, j]: series j observes every cell series i observes
-    covered = counts == counts.diagonal()[:, None]
-    # joint cell (x, y) of pair (i, j) is counted at (j·width + x)·width + y - i·width²;
-    # a cell series j misses at (n+1)·width² + x·width - i·width², past the row's last pair
     width = int(bins.max())
-    block = width * width
-    y_cells = np.where(panel.mask, codes + (np.arange(n) * block)[:, None], (n + 1) * block)
     tally = np.arange(T + 1)
     clogc = tally * np.log(np.maximum(tally, 1))  # c·log c, 0 at c = 0
-    own_terms = np.array([clogc[np.bincount(codes[i, panel.mask[i]], minlength=width)].sum() for i in range(n)])
+
+    def histograms(cells):
+        """(n, width) counts of each series' codes on ``cells``, leaving out the cells it misses."""
+        at = np.where(panel.mask[:, cells], codes[:, cells] + (np.arange(n) * width)[:, None], n * width)
+        return np.bincount(at.ravel(), minlength=(n + 1) * width)[: n * width].reshape(n, width)
+
+    own_hist = histograms(slice(None))
+    # terms[i, j]: Σ c log c of series i's own codes on the cells series j observes too
+    terms = np.repeat(clogc[own_hist].sum(axis=1)[:, None], n, axis=1)
+    for j in np.flatnonzero(~panel.mask.all(axis=1)):
+        terms[:, j] = clogc[own_hist - histograms(np.flatnonzero(~panel.mask[j]))].sum(axis=1)
+    # joint cell (x, y) of pair (i, j) is counted at (j·width + x)·width + y - i·width²;
+    # a cell series j misses at (n+1)·width² + x·width - i·width², past the row's last pair
+    block = width * width
+    y_cells = np.where(panel.mask, codes + (np.arange(n) * block)[:, None], (n + 1) * block)
     weights = np.zeros((n, n))
     # one buffer serves every row: an allocation per row, shrinking row by row,
     # fragments the heap and raises peak memory
@@ -298,11 +309,11 @@ def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
         cells[:, ~panel.mask[i]] = partners.size * block
         joint = np.bincount(cells.ravel(), minlength=partners.size * block)[: partners.size * block]
         joint = joint.reshape(partners.size, width, width)
-        x_terms = np.full(partners.size, own_terms[i])
-        redo = np.flatnonzero(~covered[i, i:])
+        x_terms = terms[i, i:].copy()
+        redo = np.flatnonzero(~own[i, i:])
         x_terms[redo] = clogc[joint[redo].sum(axis=2)].sum(axis=1)
-        y_terms = own_terms[i:].copy()
-        redo = np.flatnonzero(~covered[i:, i])
+        y_terms = terms[i:, i].copy()
+        redo = np.flatnonzero(~own[i:, i])
         y_terms[redo] = clogc[joint[redo].sum(axis=1)].sum(axis=1)
         n_obs = counts[i, i:]
         entropy_sums = clogc[joint].sum(axis=(1, 2)) - x_terms - y_terms
@@ -372,15 +383,26 @@ def _least_squares(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(gram + jitter * np.eye(gram.shape[0]), rhs)
 
 
-def _longest_joint_run(panel: SeriesPanel, i: int, j: int):
-    """The first longest stretch [lo, hi) of cells both series observe; (0, 0) if none."""
-    both = np.concatenate(([0], panel.mask[i] & panel.mask[j], [0])).astype(np.int8)
-    step = np.diff(both)
-    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
-    if not starts.size:
-        return 0, 0
-    longest = int(np.argmax(ends - starts))  # argmax keeps the first of equal runs
-    return int(starts[longest]), int(ends[longest])
+def _longest_joint_runs(mask: np.ndarray, pairs: list) -> list:
+    """Per pair (i, j), the first longest stretch (lo, hi) of cells both series observe; (0, 0) if none.
+
+    A pair's runs lie between the sorted cells either series misses, so a
+    pair costs what its two series miss, not T.
+    """
+    n, T = mask.shape
+    targets, cands = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    rows, cols = np.nonzero(~mask)
+    # misses[i]: the cells series i misses, ascending, then T until the row is full
+    misses = np.full((n, np.bincount(rows, minlength=n).max() + 1), T)
+    misses[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = cols
+    lo, hi = np.zeros(targets.size, dtype=np.intp), np.zeros(targets.size, dtype=np.intp)
+    block = max(1, n * T // (2 * misses.shape[1]))  # pairs per pass: at most about n·T cells
+    for s in range(0, targets.size, block):
+        ends = np.sort(np.concatenate((misses[targets[s : s + block]], misses[cands[s : s + block]]), axis=1), axis=1)
+        starts = np.concatenate((np.zeros((ends.shape[0], 1), dtype=ends.dtype), ends[:, :-1] + 1), axis=1)
+        pick = np.arange(ends.shape[0]), (ends - starts).argmax(axis=1)  # argmax keeps the first of equal runs
+        lo[s : s + block], hi[s : s + block] = starts[pick], ends[pick]
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def _own_lags(y: np.ndarray, maxlag: int):
@@ -400,8 +422,8 @@ def _own_lags(y: np.ndarray, maxlag: int):
     return rows, cross, float(resid @ resid)
 
 
-def _augmented_rss(rows: np.ndarray, cross: np.ndarray, lags: np.ndarray) -> float:
-    """RSS once a candidate's ``lags`` rows join the own-lag regressors of ``_own_lags``.
+def _augmented_rss(rows: np.ndarray, cross: np.ndarray, lags: np.ndarray, lag_gram: np.ndarray) -> float:
+    """RSS once a candidate's ``lags`` rows, of Gram ``lag_gram``, join the own-lag regressors of ``_own_lags``.
 
     Partitioned normal equations: of the augmented Gram only the
     candidate's blocks are new, its products with the regressors, with
@@ -413,7 +435,7 @@ def _augmented_rss(rows: np.ndarray, cross: np.ndarray, lags: np.ndarray) -> flo
     gram[:k, :k] = cross[:k, :k]
     gram[:k, k:] = with_lags[:k]
     gram[k:, :k] = with_lags[:k].T
-    gram[k:, k:] = lags @ lags.T
+    gram[k:, k:] = lag_gram
     coef = _least_squares(gram, np.concatenate((cross[:k, k], with_lags[k])))
     resid = rows[k] - coef[:k] @ rows[:k] - coef[k:] @ lags
     return float(resid @ resid)
@@ -431,10 +453,15 @@ def granger_rank(
     Ranking is by ascending p-value, ties broken by descending aggregated
     weight then ascending id. Only shortlisted pairs are tested, each on
     the pair's longest joint run (the whole panel for two fully observed
-    series). The target's own-lag regressors, their Gram and the
-    restricted fit are computed once per joint run; each candidate adds
-    only its own lag rows. One ``betainc`` call turns every F statistic
-    into its p-value.
+    series); one pass finds the runs of every pair that misses a cell.
+    The target's own-lag regressors, their Gram and the restricted fit are
+    computed once per joint run, and a candidate's lag Gram once per
+    candidate and run, so each test adds only the candidate's products
+    with the target's rows. Each series is first scaled by a power of two
+    that brings a magnitude beyond 2**±SCALE_EXPONENT to about 1, which
+    keeps the Grams finite and changes no F statistic; ordinary series
+    keep a scale of exactly 1. One ``betainc`` call turns every F
+    statistic into its p-value.
     """
     # scipy is imported here, not at the top, so that no command but
     # select-context pays for loading it
@@ -443,19 +470,30 @@ def granger_rank(
     if maxlag < 1:
         raise DataError(f"Granger tests need maxlag >= 1, got {maxlag}")
     n, T = panel.n, panel.T
+    largest = np.maximum(panel.values.max(axis=1, where=panel.mask, initial=0.0),
+                         -panel.values.min(axis=1, where=panel.mask, initial=0.0))
+    exponent = np.frexp(largest)[1]
+    shift = np.where(np.abs(exponent) > SCALE_EXPONENT, -exponent, 0)
+    values = np.ldexp(panel.values, shift[:, None]) if shift.any() else panel.values
     full = panel.mask.all(axis=1)
+    gapped = [(target, cand) for target, ids in candidates.items() for cand in ids if not (full[target] and full[cand])]
+    runs = dict(zip(gapped, _longest_joint_runs(panel.mask, gapped)))  # the other pairs share all T cells
+    lag_grams = {}  # (candidate, lo, hi): the candidate's lag Gram on that run
     tested, rss = [], []  # (target, candidate, residual degrees of freedom), (restricted, augmented) RSS
     for target, cand_ids in candidates.items():
         fits = {}
         for cand in cand_ids:
-            lo, hi = (0, T) if full[target] and full[cand] else _longest_joint_run(panel, target, cand)
+            lo, hi = runs.get((target, cand), (0, T))
             if hi - lo <= 10 * maxlag:
                 raise DataError(f"pair ({target}, {cand}): joint run {hi - lo} too short for maxlag={maxlag}")
             if (lo, hi) not in fits:
-                fits[lo, hi] = _own_lags(panel.values[target, lo:hi], maxlag)
+                fits[lo, hi] = _own_lags(values[target, lo:hi], maxlag)
+            lags = _lag_rows(values[cand, lo:hi], maxlag)
+            if (cand, lo, hi) not in lag_grams:
+                lag_grams[cand, lo, hi] = lags @ lags.T
             rows, cross, rss_r = fits[lo, hi]
             tested.append((target, cand, hi - lo - 3 * maxlag - 1))
-            rss.append((rss_r, _augmented_rss(rows, cross, _lag_rows(panel.values[cand, lo:hi], maxlag))))
+            rss.append((rss_r, _augmented_rss(rows, cross, lags, lag_grams[cand, lo, hi])))
     p_values = np.full((n, n), np.nan)
     if tested:
         targets, cands, dof = np.array(tested).T
@@ -506,10 +544,11 @@ def build_context_map(
     if K > panel.n:
         raise DataError("context batch cannot exceed the series count")
 
-    extremes = _joint_extremes(panel)  # one ranking of each series serves Pearson and MI
-    corr = pearson_matrix(panel, extremes)
+    # the joint extremes and counts serve Pearson and MI alike
+    extremes, counts = _joint_extremes(panel), _joint_counts(panel)
+    corr = pearson_matrix(panel, extremes, counts)
     abs_corr = AdjacencyMatrix(corr.n, np.abs(corr.weights), "CM")
-    agg = aggregate([abs_corr, cst_matrix(corr), mi_matrix(panel, extremes)])
+    agg = aggregate([abs_corr, cst_matrix(corr), mi_matrix(panel, extremes, counts)])
     candidates = shortlist(agg, S)
     granger = granger_rank(panel, candidates, maxlag, S, agg)
 

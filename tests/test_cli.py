@@ -71,6 +71,14 @@ class TestSynth:
         assert load_panel(str(from_file)).T == 50
         assert load_panel(str(overridden)).T == 30
 
+    def test_negative_value_in_exponent_form(self, tmp_path):
+        # argparse took "-2e0" for a flag and exited 1 with "expected one argument"
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["synth", "--n", "3", "--t", "40", "--edges", "0-1"]
+        assert run_cli(args + ["--coupling", "-2e0", "--out", str(a)]) == 0
+        assert run_cli(args + ["--coupling=-2.0", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestPipeline:
     def test_select_train_predict_evaluate(self, workspace, capsys, tmp_path):
@@ -307,6 +315,14 @@ class TestMalformedValues:
                           "--seed", "-1", "--out", str(tmp_path / "m.bin")], capsys, 2, "seed")
         self.assert_exit(["synth", "--seed", "-1", "--out", str(tmp_path / "p.csv")], capsys, 2, "seed")
 
+    def test_negative_exponent_form_reaches_the_flag_type(self, workspace, tmp_path, capsys):
+        # read as the flag's value, so the int type names it, on every command
+        _root, config, data = workspace
+        self.assert_exit(["select-context", "--data", str(data), "--out", str(tmp_path / "ctx.map"),
+                          "--seed", "-1e0"], capsys, 1, "invalid int value: '-1e0'")
+        self.assert_exit(["evaluate", "--model", "m.bin", "--data", str(data), "--test-start", "-2E3"],
+                         capsys, 1, "invalid int value: '-2E3'")
+
     def test_synth_period_below_one(self, tmp_path, capsys):
         # a period of 0 used to write a panel of nan cells, and exit 0
         self.assert_exit(["synth", "--period", "0", "--out", str(tmp_path / "p.csv")], capsys, 2, "period")
@@ -315,6 +331,8 @@ class TestMalformedValues:
         (["--noise", "inf"], "finite"),
         (["--edges", "0-1:inf"], "finite"),
         (["--coupling", "1e308", "--edges", "0-1"], "overflows"),
+        (["--coupling", "-1e308", "--edges", "0-1"], "overflows"),
+        (["--noise", "-inf"], "finite"),
     ])
     def test_synth_refuses_what_its_reader_refuses(self, tmp_path, capsys, flags, match):
         # these used to exit 0 after writing inf and nan cells, on which load_panel exits 2

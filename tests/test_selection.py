@@ -3,6 +3,7 @@ import io
 import itertools
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from contextrnn.selection import (
     shortlist,
     write_context_map,
 )
-from contextrnn.selection import _bin_codes, _joint_extremes, _longest_joint_run
+from contextrnn.selection import _bin_codes, _joint_counts, _joint_extremes, _longest_joint_runs
 
 
 def make_panel(values, mask=None):
@@ -369,6 +370,134 @@ class TestMutualInformationCounts:
         np.testing.assert_allclose(mi_matrix(panel).weights, reference_mi(panel), rtol=0.0, atol=1e-12)
 
 
+def brute_force_extremes(panel):
+    """lo, hi by a stable sort of each pair's joint cells: of equal values, lo takes the first, hi the last."""
+    n = panel.n
+    lo, hi = np.full((n, n), np.nan), np.full((n, n), np.nan)
+    for i in range(n):
+        for j in range(n):
+            cells = np.flatnonzero(panel.mask[i] & panel.mask[j])
+            if cells.size:
+                ranked = cells[np.argsort(panel.values[i, cells], kind="stable")]
+                lo[i, j], hi[i, j] = panel.values[i, ranked[0]], panel.values[i, ranked[-1]]
+    return lo, hi
+
+
+@st.composite
+def extreme_panels(draw):
+    """Few distinct values (signed zeros among them) and gaps up to a series that misses all but one cell."""
+    n = draw(st.integers(2, 9))
+    T = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.choice([-1.5, -0.0, 0.0, 2.0, 3.25], size=(n, T))
+    else:
+        values = rng.normal(size=(n, T))
+    mask = rng.uniform(size=(n, T)) >= draw(st.sampled_from([0.0, 0.05, 0.3, 0.7]))
+    if draw(st.booleans()):
+        sparse = draw(st.integers(0, n - 1))
+        mask[sparse] = False
+        mask[sparse, draw(st.integers(0, T - 1))] = True
+    return make_panel(values, mask)
+
+
+class TestJointExtremes:
+    """Only the first ``depth`` ranked cells of each series are searched, in blocks of series."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(extreme_panels())
+    def test_equals_stable_sort_of_joint_cells(self, panel):
+        lo, hi = _joint_extremes(panel)
+        want_lo, want_hi = brute_force_extremes(panel)
+        joint = _joint_counts(panel) > 0
+        for got, want in ((lo, want_lo), (hi, want_hi)):
+            # bit for bit: of equal values the stable order's pick, so -0.0 and 0.0 stay apart
+            assert got[joint].tobytes() == want[joint].tobytes()
+
+    def test_ties_at_the_partition_boundary(self):
+        # series 0's ten least values (a partner misses nine cells) end in zeros, tied with
+        # more zeros beyond the tenth: the partner observes the fifth zero first, the last
+        # -0.0. Series 2 mirrors it, so its greatest value is the +0.0 that a stable sort
+        # puts last among the zeros its partner, series 3, observes.
+        x = np.concatenate(([-0.0, 0.0, -0.0, 0.0, -0.0], [0.0] * 7, np.arange(-5.0, 0.0), np.arange(1.0, 14.0)))
+        partner = np.ones(30, dtype=bool)
+        partner[[0, 1, 2, 3, 12, 13, 14, 15, 16]] = False
+        full = np.ones(30, dtype=bool)
+        panel = make_panel([x, x, -x[::-1], x], [full, partner, full, partner[::-1]])
+        lo, hi = _joint_extremes(panel)
+        want_lo, want_hi = brute_force_extremes(panel)
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+        assert math.copysign(1.0, lo[0, 1]) == -1.0 and math.copysign(1.0, hi[2, 3]) == 1.0
+
+    def test_a_series_missing_almost_every_cell_searches_in_many_blocks(self):
+        # depth reaches T, so each block of the search holds one series
+        rng = np.random.default_rng(36)
+        values = np.round(rng.normal(size=(12, 40)), 1)
+        mask = rng.uniform(size=(12, 40)) > 0.2
+        mask[4] = False
+        mask[4, 39] = True
+        panel = make_panel(values, mask)
+        lo, hi = _joint_extremes(panel)
+        want_lo, want_hi = brute_force_extremes(panel)
+        joint = _joint_counts(panel) > 0
+        assert not joint.all()
+        np.testing.assert_array_equal(lo[joint], want_lo[joint])
+        np.testing.assert_array_equal(hi[joint], want_hi[joint])
+
+
+class TestMutualInformationMarginals:
+    """Each path to a pair's marginal term matches the histogram oracle."""
+
+    def panel(self, missed):
+        """Series 0 fully observed, series 1 missing ``missed`` cells; 110 cells keep 10 bins at 105."""
+        rng = np.random.default_rng(37)
+        values = rng.normal(size=(2, 110))
+        mask = np.ones((2, 110), dtype=bool)
+        mask[1, missed(values)] = False
+        return make_panel(values, mask)
+
+    def paths(self, panel):
+        lo, hi = _joint_extremes(panel)
+        counts = _joint_counts(panel)
+        covered = counts == counts.diagonal()[:, None]
+        bins = np.clip(np.sqrt(counts).astype(int), 8, 64)  # max(8, floor(sqrt(N))), capped at 64
+        own = (lo == lo.diagonal()[:, None]) & (hi == hi.diagonal()[:, None]) & (bins == bins.diagonal()[:, None])
+        return covered, own
+
+    def test_covered(self):
+        # series 0 observes every cell of series 1: its marginal is series 1's own histogram
+        panel = self.panel(lambda v: [20, 40, 60])
+        covered, _ = self.paths(panel)
+        assert covered[1, 0]
+        assert_matches_reference(panel)
+
+    def test_uncovered_but_own_binned(self):
+        # series 1 misses middle cells of series 0: own histogram less the missed cells' codes
+        panel = self.panel(lambda v: np.argsort(v[0])[50:55])
+        covered, own = self.paths(panel)
+        assert not covered[0, 1] and own[0, 1]
+        assert_matches_reference(panel)
+
+    def test_uncovered_and_rebinned_in_the_row(self):
+        # series 1 misses the minimum of series 0, the row series: x is binned anew
+        panel = self.panel(lambda v: [np.argmin(v[0])])
+        covered, own = self.paths(panel)
+        assert not covered[0, 1] and not own[0, 1]
+        assert_matches_reference(panel)
+
+    def test_uncovered_and_rebinned_in_the_partner(self):
+        # series 0 misses the minimum of series 1, the partner: y is binned anew
+        rng = np.random.default_rng(38)
+        values = rng.normal(size=(2, 110))
+        mask = np.ones((2, 110), dtype=bool)
+        mask[0, np.argmin(values[1])] = False
+        mask[0, np.argsort(values[1])[40:44]] = False
+        panel = make_panel(values, mask)
+        covered, own = self.paths(panel)
+        assert not covered[1, 0] and not own[1, 0]
+        assert_matches_reference(panel)
+
+
 class TestBinCodes:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3), st.integers(8, 64))
@@ -608,6 +737,11 @@ class TestGrangerOnJointRuns:
             granger_rank(panel, {0: (1,)}, maxlag=0, S=1)
 
 
+def joint_run(panel):
+    (run,) = _longest_joint_runs(panel.mask, [(0, 1)])
+    return run
+
+
 class TestLongestJointRun:
     @pytest.mark.parametrize(
         "mask",
@@ -622,7 +756,7 @@ class TestLongestJointRun:
     )
     def test_edge_cases(self, mask):
         panel = make_panel(np.ones((2, mask.size)), np.stack([mask, np.ones_like(mask)]))
-        assert _longest_joint_run(panel, 0, 1) == brute_force_run(mask)
+        assert joint_run(panel) == brute_force_run(mask)
 
     def test_random_masks_match_scan(self):
         rng = np.random.default_rng(41)
@@ -630,7 +764,16 @@ class TestLongestJointRun:
             T = int(rng.integers(1, 60))
             masks = rng.uniform(size=(2, T)) < rng.uniform(0.2, 0.95)
             panel = make_panel(np.ones((2, T)), masks)
-            assert _longest_joint_run(panel, 0, 1) == brute_force_run(masks[0] & masks[1])
+            assert joint_run(panel) == brute_force_run(masks[0] & masks[1])
+
+    def test_many_pairs_in_blocks(self):
+        # one series missing most cells makes each pass hold few pairs
+        rng = np.random.default_rng(43)
+        masks = rng.uniform(size=(6, 50)) < rng.uniform(0.3, 0.98, size=(6, 1))
+        masks[5, 3:] = False
+        pairs = list(itertools.permutations(range(6), 2))
+        for (i, j), run in zip(pairs, _longest_joint_runs(masks, pairs), strict=True):
+            assert run == brute_force_run(masks[i] & masks[j])
 
 
 class TestGrangerRankReusesRestrictedFit:
@@ -654,6 +797,53 @@ class TestGrangerRankReusesRestrictedFit:
                 lo, hi = brute_force_run(keep)
                 want = pair_pvalue(values[target, lo:hi], values[cand, lo:hi], maxlag=3)
                 assert result.p_values[target, cand] == want
+
+    def test_a_candidate_on_two_runs(self):
+        # candidate 4 is shortlisted by targets 0 and 2, on runs [0, 300) and [0, 150):
+        # its lag Gram is one per run; candidates 3 and 1 test on [0, 400) and [151, 400)
+        rng = np.random.default_rng(45)
+        values = rng.normal(size=(5, 400)).cumsum(axis=1) + 50.0
+        values[0, 1:] += 0.8 * values[4, :-1]
+        mask = np.ones((5, 400), dtype=bool)
+        mask[2, 150] = False
+        mask[4, 300] = False
+        panel = make_panel(values, mask)
+        candidates = {0: (4, 3, 1), 2: (4, 3, 1)}
+        result = granger_rank(panel, candidates, maxlag=3, S=2)
+        runs = {target: brute_force_run(mask[target] & mask[4]) for target in candidates}
+        assert runs == {0: (0, 300), 2: (0, 150)}
+        for target, cands in candidates.items():
+            for cand in cands:
+                lo, hi = brute_force_run(mask[target] & mask[cand])
+                want = pair_pvalue(values[target, lo:hi], values[cand, lo:hi], maxlag=3)
+                assert result.p_values[target, cand] == want
+        assert result.per_target[0][0] == 4
+
+
+class TestGrangerNearOverflow:
+    """Lag Grams of a series near 1e307 overflow unless the series is scaled first."""
+
+    def panel(self):
+        spec = SynthSpec(n=6, T=200, edges=((0, 1),), coupling=1e306, lag=1, noise_sigma=0.1, seasonal_period=24)
+        return synth_generate(spec, seed=0)
+
+    def test_true_driver_ranks_first(self, caplog):
+        panel = self.panel()
+        assert np.abs(panel.values[1]).max() > 1e306
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="contextrnn.selection"):
+            warnings.simplefilter("error")
+            result = granger_rank(panel, {1: (0, 2, 3)}, 4, 2)
+        assert result.per_target[1][0] == 0 and result.p_values[1, 0] < 1e-3
+        assert "singular" not in caplog.text
+
+    def test_equals_the_panel_scaled_by_a_power_of_two(self):
+        panel = self.panel()
+        scaled = make_panel(panel.values * 2.0**-1000)
+        p = granger_rank(panel, {1: (0, 2, 3), 2: (0, 1, 3)}, 4, 2).p_values
+        p_scaled = granger_rank(scaled, {1: (0, 2, 3), 2: (0, 1, 3)}, 4, 2).p_values
+        tested = ~np.isnan(p)
+        assert tested.sum() == 6
+        np.testing.assert_allclose(p[tested], p_scaled[tested], rtol=1e-12, atol=0.0)
 
 
 class TestBuildContextMap:
