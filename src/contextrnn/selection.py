@@ -16,10 +16,12 @@ selection computes Pearson once.
 
 What does not depend on the partner is computed once, and a per-pair
 correction costs the cells the partner misses, not the cells the pair
-holds: the search for each pair's extremes, the MI marginal histograms
-and Granger's joint runs all start from missed cells, and a candidate's
-lag Gram is built once per joint run, whichever targets test it. The
-shortlist is one stable ``argsort`` of the aggregated weights.
+holds. Only a pair whose partner misses cells searches for its extremes,
+among the first few ranked cells of the series; the MI marginal
+histograms and Granger's joint runs start from missed cells; and a
+candidate's lag Gram is built once per joint run, whichever targets
+test it. The shortlist is one stable ``argsort`` of the aggregated
+weights.
 """
 
 from __future__ import annotations
@@ -96,52 +98,76 @@ class GrangerResult:
     tests_performed: int
 
 
-def _joint_counts(panel: SeriesPanel) -> np.ndarray:
-    """Cells observed by both series, per pair, as an n×n float matrix."""
+def _joint_counts(panel: SeriesPanel, least: int) -> np.ndarray:
+    """Cells observed by both series, per pair, as an n×n float matrix.
+
+    Raises DataError naming the first pair (i, j >= i), in row order, that
+    shares fewer than ``least`` cells.
+    """
     observed = panel.mask.astype(np.float64)
-    return observed @ observed.T
-
-
-def _require_joint(counts: np.ndarray, least: int):
-    """Raise DataError naming the first pair (i, j >= i), in row order, that shares fewer than ``least`` cells."""
+    counts = observed @ observed.T
     short = np.argwhere(np.triu(counts < least))
     if short.size:
         i, j = short[0]
         raise DataError(f"series pair ({i}, {j}) has {int(counts[i, j])} joint points, need >= {least}")
+    return counts
+
+
+def _first_shared(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """For every series, the position in ``cells`` of the first cell it observes.
+
+    Scans ``cells`` in blocks that grow fourfold, so a series that observes
+    one of the first cells costs one short block. A series observing none
+    of them gets 0.
+    """
+    first = np.zeros(mask.shape[0], dtype=np.intp)
+    todo = np.arange(mask.shape[0])
+    start, size = 0, 8
+    while todo.size and start < cells.size:
+        block = mask[todo[:, None], cells[start : start + size]]
+        hit = block.any(axis=1)
+        first[todo[hit]] = start + block[hit].argmax(axis=1)
+        todo = todo[~hit]
+        start, size = start + size, 4 * size
+    return first
 
 
 def _joint_extremes(panel: SeriesPanel):
     """lo[i, j] and hi[i, j]: the least and greatest value of series i on the cells j observes too.
 
     In series i's cells ranked by value, the first that j observes, from
-    either end, holds the joint minimum or maximum. No series misses more
-    than ``depth - 1`` cells, so only the first ``depth`` cells from each
-    end are ranked, and only partners that miss cells search them; any
-    other partner observes the first. The entries of a pair without a
-    joint cell mean nothing, so read them only after ``_require_joint``
-    has passed.
+    either end, holds the joint minimum or maximum; a partner that misses
+    no cell observes the first. Each series ranks its first 8 cells, and
+    every partner that misses cells searches them at once. A series with
+    a partner that misses all 8 is ranked in full, and those partners
+    search on with ``_first_shared``. The entries of a pair without a
+    joint cell mean nothing, so read them only after ``_joint_counts`` has
+    passed.
     """
     n, T = panel.n, panel.T
-    mask, values = panel.mask, panel.values
-    depth = min(T, T - int(mask.sum(axis=1).min()) + 1)
-    every = np.arange(n)
-    gapped = np.flatnonzero(~mask.all(axis=1))
+    every, gapped = np.arange(n), np.flatnonzero(~panel.mask.all(axis=1))
+    rows, partners = np.repeat(every, gapped.size), np.tile(gapped, n)  # the pairs whose partner misses cells
+    depth = min(8, T)
     extremes = []
     for sign in (1, -1):
+        # hi ranks the cells backwards, so equal values rank from the right, as a stable sort read backwards does
+        mask, values = panel.mask[:, ::sign], panel.values[:, ::sign]
         keys = np.where(mask, values, sign * np.inf)
         keys *= sign
-        # each row's depth least keys, and any more tied with the last of them
-        rows, cols = np.nonzero(keys <= np.partition(keys, depth - 1, axis=1)[:, depth - 1 : depth])
-        # ranked as a stable sort of the row ranks it, which hi reads backwards: equal values
-        # from the left for lo, from the right for hi
-        ranked = cols[np.lexsort((sign * cols, keys[rows, cols], rows))]
-        cells = ranked[np.searchsorted(rows, every)[:, None] + np.arange(depth)]
-        # the search holds (partners, series, depth) booleans: at most about n·T at a time
-        first = np.zeros((n, n), dtype=np.intp)
-        block = max(1, T // depth)
-        for s in range(0, n, block):
-            first[gapped, s : s + block] = mask[gapped[:, None, None], cells[s : s + block]].argmax(axis=2)
-        extremes.append(values[every[:, None], cells[every[:, None], first.T]])
+        # each row's first depth cells in a stable sort: its keys at or below the depth-th least,
+        # which np.nonzero lists in cell order and the stable np.lexsort keeps so among equals
+        at, cells = np.nonzero(keys <= np.partition(keys, depth - 1, axis=1)[:, depth - 1 : depth])
+        ranked = cells[np.lexsort((keys[at, cells], at))][np.searchsorted(at, every)[:, None] + np.arange(depth)]
+        first = np.repeat(ranked[:, :1], n, axis=1)  # first[i, j]: the cell of the pair's extreme
+        seen = mask[partners[:, None], ranked[rows]]
+        first[rows, partners] = ranked[rows, seen.argmax(axis=1)]
+        missed = ~seen.any(axis=1)
+        i_missed, j_missed = rows[missed], partners[missed]
+        for i in np.unique(i_missed):
+            todo = j_missed[i_missed == i]
+            ranked_i = np.argsort(keys[i], kind="stable")
+            first[i, todo] = ranked_i[_first_shared(mask[todo], ranked_i)]
+        extremes.append(values[every[:, None], first])
     return tuple(extremes)
 
 
@@ -151,17 +177,15 @@ def _varies(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return varies & varies.T
 
 
-def pearson_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix:
+def pearson_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
     """Pairwise-complete Pearson coefficients; a series constant on a pair's joint cells scores 0.
 
     Every pair at once, as masked matrix products: each series is centred
     on its own observed mean and zeroed where missing, which keeps the
     one-pass sums within rounding of centring on each pair's joint mean.
-    ``extremes`` and ``counts`` are the panel's ``_joint_extremes`` and
-    ``_joint_counts``, computed here if not given.
+    ``extremes`` is the panel's ``_joint_extremes``, computed here if not given.
     """
-    counts = _joint_counts(panel) if counts is None else counts
-    _require_joint(counts, MIN_PAIR_OBS_CORR)
+    counts = _joint_counts(panel, MIN_PAIR_OBS_CORR)
     observed = panel.mask.astype(np.float64)
     values = np.where(panel.mask, panel.values, 0.0)
     centred = np.where(panel.mask, values - (values.sum(axis=1) / observed.sum(axis=1))[:, None], 0.0)
@@ -240,7 +264,7 @@ def _bin_codes(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: np.ndar
         codes -= down
 
 
-def mi_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix:
+def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
     """Equal-width-histogram mutual information in nats, pairwise complete.
 
     A pair of N joint cells is binned as ``np.histogram2d`` bins it: on
@@ -257,14 +281,12 @@ def mi_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix
     A marginal term Σ c log c of a pair that bins a series as it is binned
     alone comes from the series' own histogram, less the histogram of its
     codes on the cells the partner misses: one offset ``bincount`` per
-    series that misses cells. Only a pair that bins a series anew sums its
-    joint table for that marginal. ``extremes`` and ``counts`` are the
-    panel's ``_joint_extremes`` and ``_joint_counts``, computed here if not
-    given.
+    partner that misses cells of such a series. Only a pair that bins a
+    series anew sums its joint table for that marginal. ``extremes`` is the panel's
+    ``_joint_extremes``, computed here if not given.
     """
     n, T = panel.n, panel.T
-    counts = _joint_counts(panel) if counts is None else counts
-    _require_joint(counts, MIN_PAIR_OBS_MI)
+    counts = _joint_counts(panel, MIN_PAIR_OBS_MI).astype(np.intp)
     lo, hi = extremes or _joint_extremes(panel)
     varies = _varies(lo, hi)
     bins = _bin_count(counts)
@@ -277,16 +299,20 @@ def mi_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix
     tally = np.arange(T + 1)
     clogc = tally * np.log(np.maximum(tally, 1))  # c·log c, 0 at c = 0
 
-    def histograms(cells):
-        """(n, width) counts of each series' codes on ``cells``, leaving out the cells it misses."""
-        at = np.where(panel.mask[:, cells], codes[:, cells] + (np.arange(n) * width)[:, None], n * width)
-        return np.bincount(at.ravel(), minlength=(n + 1) * width)[: n * width].reshape(n, width)
+    def histograms(rows, cells):
+        """(rows, width) counts of the codes of series ``rows`` on ``cells``, leaving out the cells each misses."""
+        k = len(rows)
+        at = np.where(panel.mask[:, cells][rows], codes[:, cells][rows] + (np.arange(k) * width)[:, None], k * width)
+        return np.bincount(at.ravel(), minlength=(k + 1) * width)[: k * width].reshape(k, width)
 
-    own_hist = histograms(slice(None))
-    # terms[i, j]: Σ c log c of series i's own codes on the cells series j observes too
+    own_hist = histograms(np.arange(n), slice(None))
+    # terms[i, j]: Σ c log c of series i's own codes on the cells series j observes too, where own[i, j];
+    # trim[i, j]: j misses some of series i's cells, whose codes come off i's own histogram
     terms = np.repeat(clogc[own_hist].sum(axis=1)[:, None], n, axis=1)
-    for j in np.flatnonzero(~panel.mask.all(axis=1)):
-        terms[:, j] = clogc[own_hist - histograms(np.flatnonzero(~panel.mask[j]))].sum(axis=1)
+    trim = own & (counts < counts.diagonal()[:, None])
+    for j in np.flatnonzero(trim.any(axis=0)):
+        rows = np.flatnonzero(trim[:, j])
+        terms[rows, j] = clogc[own_hist[rows] - histograms(rows, ~panel.mask[j])].sum(axis=1)
     # joint cell (x, y) of pair (i, j) is counted at (j·width + x)·width + y - i·width²;
     # a cell series j misses at (n+1)·width² + x·width - i·width², past the row's last pair
     block = width * width
@@ -386,22 +412,27 @@ def _least_squares(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _longest_joint_runs(mask: np.ndarray, pairs: list) -> list:
     """Per pair (i, j), the first longest stretch (lo, hi) of cells both series observe; (0, 0) if none.
 
-    A pair's runs lie between the sorted cells either series misses, so a
-    pair costs what its two series miss, not T.
+    A pair's runs lie between the sorted cells either series misses. Pairs
+    go n at a time, in order of the most cells either series misses, and
+    each batch sorts only as many cells per series as its pairs miss, so a
+    pair costs about what its two series miss, not T.
     """
     n, T = mask.shape
     targets, cands = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     rows, cols = np.nonzero(~mask)
+    count = np.bincount(rows, minlength=n)
     # misses[i]: the cells series i misses, ascending, then T until the row is full
-    misses = np.full((n, np.bincount(rows, minlength=n).max() + 1), T)
+    misses = np.full((n, count.max() + 1), T)
     misses[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = cols
     lo, hi = np.zeros(targets.size, dtype=np.intp), np.zeros(targets.size, dtype=np.intp)
-    block = max(1, n * T // (2 * misses.shape[1]))  # pairs per pass: at most about n·T cells
-    for s in range(0, targets.size, block):
-        ends = np.sort(np.concatenate((misses[targets[s : s + block]], misses[cands[s : s + block]]), axis=1), axis=1)
-        starts = np.concatenate((np.zeros((ends.shape[0], 1), dtype=ends.dtype), ends[:, :-1] + 1), axis=1)
-        pick = np.arange(ends.shape[0]), (ends - starts).argmax(axis=1)  # argmax keeps the first of equal runs
-        lo[s : s + block], hi[s : s + block] = starts[pick], ends[pick]
+    order = np.argsort(np.maximum(count[targets], count[cands]), kind="stable")
+    for s in range(0, targets.size, n):
+        k = order[s : s + n]
+        width = max(count[targets[k]].max(), count[cands[k]].max()) + 1
+        ends = np.sort(np.concatenate((misses[targets[k], :width], misses[cands[k], :width]), axis=1), axis=1)
+        starts = np.concatenate((np.zeros((k.size, 1), dtype=ends.dtype), ends[:, :-1] + 1), axis=1)
+        pick = np.arange(k.size), (ends - starts).argmax(axis=1)  # argmax keeps the first of equal runs
+        lo[k], hi[k] = starts[pick], ends[pick]
     return list(zip(lo.tolist(), hi.tolist()))
 
 
@@ -453,7 +484,7 @@ def granger_rank(
     Ranking is by ascending p-value, ties broken by descending aggregated
     weight then ascending id. Only shortlisted pairs are tested, each on
     the pair's longest joint run (the whole panel for two fully observed
-    series); one pass finds the runs of every pair that misses a cell.
+    series); the runs of the pairs that miss a cell are found together.
     The target's own-lag regressors, their Gram and the restricted fit are
     computed once per joint run, and a candidate's lag Gram once per
     candidate and run, so each test adds only the candidate's products
@@ -544,11 +575,10 @@ def build_context_map(
     if K > panel.n:
         raise DataError("context batch cannot exceed the series count")
 
-    # the joint extremes and counts serve Pearson and MI alike
-    extremes, counts = _joint_extremes(panel), _joint_counts(panel)
-    corr = pearson_matrix(panel, extremes, counts)
+    extremes = _joint_extremes(panel)  # one ranking of each series serves Pearson and MI
+    corr = pearson_matrix(panel, extremes)
     abs_corr = AdjacencyMatrix(corr.n, np.abs(corr.weights), "CM")
-    agg = aggregate([abs_corr, cst_matrix(corr), mi_matrix(panel, extremes, counts)])
+    agg = aggregate([abs_corr, cst_matrix(corr), mi_matrix(panel, extremes)])
     candidates = shortlist(agg, S)
     granger = granger_rank(panel, candidates, maxlag, S, agg)
 

@@ -402,44 +402,47 @@ def extreme_panels(draw):
 
 
 class TestJointExtremes:
-    """Only the first ``depth`` ranked cells of each series are searched, in blocks of series."""
+    """Each series' first 8 ranked cells are searched at once; pairs past them search the series' full ranking."""
 
     @settings(max_examples=150, deadline=None)
     @given(extreme_panels())
     def test_equals_stable_sort_of_joint_cells(self, panel):
         lo, hi = _joint_extremes(panel)
         want_lo, want_hi = brute_force_extremes(panel)
-        joint = _joint_counts(panel) > 0
+        joint = _joint_counts(panel, 0) > 0
         for got, want in ((lo, want_lo), (hi, want_hi)):
             # bit for bit: of equal values the stable order's pick, so -0.0 and 0.0 stay apart
             assert got[joint].tobytes() == want[joint].tobytes()
 
-    def test_ties_at_the_partition_boundary(self):
-        # series 0's ten least values (a partner misses nine cells) end in zeros, tied with
-        # more zeros beyond the tenth: the partner observes the fifth zero first, the last
-        # -0.0. Series 2 mirrors it, so its greatest value is the +0.0 that a stable sort
-        # puts last among the zeros its partner, series 3, observes.
+    def test_ties_at_the_prefix_boundary(self):
+        # x's eight least values, the ranked prefix, are its five negative values and the zeros
+        # of cells 0-2, tied with nine more zeros. A partner missing the negative values and
+        # cells 0-1 observes the prefix's last cell first, the -0.0 of cell 2; one missing
+        # cells 2-3 too observes none of the prefix and finds the -0.0 of cell 4 in the full ranking.
+        # -x[::-1] mirrors both for hi, whose stable pick is the rightmost zero: +0.0.
         x = np.concatenate(([-0.0, 0.0, -0.0, 0.0, -0.0], [0.0] * 7, np.arange(-5.0, 0.0), np.arange(1.0, 14.0)))
-        partner = np.ones(30, dtype=bool)
-        partner[[0, 1, 2, 3, 12, 13, 14, 15, 16]] = False
-        full = np.ones(30, dtype=bool)
-        panel = make_panel([x, x, -x[::-1], x], [full, partner, full, partner[::-1]])
+        near, far, full = np.ones(30, dtype=bool), np.ones(30, dtype=bool), np.ones(30, dtype=bool)
+        near[[0, 1, 12, 13, 14, 15, 16]] = False
+        far[[0, 1, 2, 3, 12, 13, 14, 15, 16]] = False
+        panel = make_panel([x, x, x, -x[::-1], x, x], [full, near, far, full, near[::-1], far[::-1]])
         lo, hi = _joint_extremes(panel)
         want_lo, want_hi = brute_force_extremes(panel)
         assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
-        assert math.copysign(1.0, lo[0, 1]) == -1.0 and math.copysign(1.0, hi[2, 3]) == 1.0
+        assert [math.copysign(1.0, v) for v in (lo[0, 1], lo[0, 2], hi[3, 4], hi[3, 5])] == [-1.0, -1.0, 1.0, 1.0]
 
-    def test_a_series_missing_almost_every_cell_searches_in_many_blocks(self):
-        # depth reaches T, so each block of the search holds one series
+    def test_pairs_past_the_prefix_search_the_full_ranking(self):
+        # two series observe one cell each, so as partners they miss every ranked cell of
+        # most series, and as series their prefix holds cells they miss
         rng = np.random.default_rng(36)
         values = np.round(rng.normal(size=(12, 40)), 1)
         mask = rng.uniform(size=(12, 40)) > 0.2
-        mask[4] = False
-        mask[4, 39] = True
+        for sparse, cell in ((4, 39), (7, 0)):
+            mask[sparse] = False
+            mask[sparse, cell] = True
         panel = make_panel(values, mask)
         lo, hi = _joint_extremes(panel)
         want_lo, want_hi = brute_force_extremes(panel)
-        joint = _joint_counts(panel) > 0
+        joint = _joint_counts(panel, 0) > 0
         assert not joint.all()
         np.testing.assert_array_equal(lo[joint], want_lo[joint])
         np.testing.assert_array_equal(hi[joint], want_hi[joint])
@@ -458,7 +461,7 @@ class TestMutualInformationMarginals:
 
     def paths(self, panel):
         lo, hi = _joint_extremes(panel)
-        counts = _joint_counts(panel)
+        counts = _joint_counts(panel, 0)
         covered = counts == counts.diagonal()[:, None]
         bins = np.clip(np.sqrt(counts).astype(int), 8, 64)  # max(8, floor(sqrt(N))), capped at 64
         own = (lo == lo.diagonal()[:, None]) & (hi == hi.diagonal()[:, None]) & (bins == bins.diagonal()[:, None])
@@ -767,7 +770,8 @@ class TestLongestJointRun:
             assert joint_run(panel) == brute_force_run(masks[0] & masks[1])
 
     def test_many_pairs_in_blocks(self):
-        # one series missing most cells makes each pass hold few pairs
+        # 30 pairs go n = 6 at a time, in order of the cells either series misses, and one
+        # series missing most cells makes the batches' widths differ
         rng = np.random.default_rng(43)
         masks = rng.uniform(size=(6, 50)) < rng.uniform(0.3, 0.98, size=(6, 1))
         masks[5, 3:] = False
