@@ -11,8 +11,9 @@ the whole pipeline is deterministic given the panel. Pearson and MI score
 every pair with array arithmetic, at O(n²·T) cost in BLAS products and
 ``bincount`` rather than one Python call per pair: Pearson as masked
 matrix products, MI by counting equal-width bin codes, one ``bincount`` per
-target row. The spanning tree is built from the Pearson matrix, so a
-selection computes Pearson once.
+tile of partners, a tile small enough that its cells and counts stay in
+cache. The spanning tree is built from the Pearson matrix, so a selection
+computes Pearson once.
 
 What does not depend on the partner is computed once, and a per-pair
 correction costs the cells the partner misses, not the cells the pair
@@ -20,8 +21,8 @@ holds. Only a pair whose partner misses cells searches for its extremes,
 among the first few ranked cells of the series; the MI marginal
 histograms and Granger's joint runs start from missed cells; and a
 candidate's lag Gram is built once per joint run, whichever targets
-test it. The shortlist is one stable ``argsort`` of the aggregated
-weights.
+test it. A target's Granger fits are solved as one stack. The shortlist
+is one stable ``argsort`` of the aggregated weights.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ SCALE_EXPONENT = 100
 
 MIN_PAIR_OBS_CORR = 3
 MIN_PAIR_OBS_MI = 32
+
+#: joint-histogram counts per MI tile: 2**15 int64 counts are 256 KiB, so a tile's cells and counts stay in cache
+TILE_COUNTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -248,20 +252,36 @@ def _bin_codes(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: np.ndar
     in the end bins; a row with lo == hi puts every value in bin 0.
     """
     step = (hi - lo) / bins
-    edges = np.arange(bins.max() + 1) * step[:, None] + lo[:, None]  # linspace's arithmetic, row by row
+    stride = int(bins.max()) + 1
+    edges = (np.arange(stride) * step[:, None] + lo[:, None]).ravel()  # linspace's arithmetic, row by row
     spread = step > 0.0
-    top = np.where(spread, bins - 1, 0)[:, None]
-    guess = np.floor((values - lo[:, None]) / np.where(spread, step, 1.0)[:, None])
-    codes = np.clip(guess, 0, top).astype(np.intp)
-    rows = np.arange(codes.shape[0])[:, None]
-    while True:
-        # rounding can leave the guess a bin off: step it onto the edges themselves
-        down = (codes > 0) & (values < edges[rows, codes])
-        up = (codes < top) & (values >= edges[rows, codes + 1])
-        if not (down.any() or up.any()):
-            return codes
-        codes += up
-        codes -= down
+    top = np.where(spread, bins - 1, 0)
+    guess = values - lo[:, None]
+    guess /= np.where(spread, step, 1.0)[:, None]
+    codes = np.clip(np.floor(guess, out=guess), 0, top[:, None], out=guess).astype(np.intp)
+
+    def moves(code, row, value):
+        """+1 for a code below its value's bin, -1 for one above it, else 0."""
+        at = row * stride + code  # the code's lower edge
+        down = value < edges[at]
+        down &= code > 0
+        at += 1
+        up = value >= edges[at]
+        up &= code < top[row]
+        return up.view(np.int8) - down.view(np.int8)
+
+    # rounding can leave a guess a bin off: step it onto the edges themselves, checking
+    # every code once and then only those that moved
+    move = moves(codes, np.arange(codes.shape[0])[:, None], values)
+    if not move.any():
+        return codes
+    rows, cells = np.nonzero(move)
+    move = move[rows, cells]
+    while rows.size:
+        codes[rows, cells] += move
+        move = moves(codes[rows, cells], rows, values[rows, cells])
+        rows, cells, move = rows[move != 0], cells[move != 0], move[move != 0]
+    return codes
 
 
 def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
@@ -274,10 +294,15 @@ def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
 
     Each series is binned once on its own range; a pair whose joint cells
     lose that series' minimum or maximum, or change the bin count, bins it
-    anew. Row i counts all its pairs (i, j >= i) with one offset
-    ``bincount``, a cell that either series misses counted past the last
-    pair and cut off, and scores them in entropy form,
-    MI = (Σ c_xy log c_xy - Σ c_x log c_x - Σ c_y log c_y) / N + log N.
+    anew. Row i counts its pairs (i, j >= i) in tiles of partners, one
+    offset ``bincount`` per tile, a tile holding ``TILE_COUNTS`` counts at
+    most so that its cells and counts stay in cache. A tile adds the row's
+    codes to its partners', counts them, a cell that either series misses
+    past the tile's last pair and cut off, and sums Σ c log c over each
+    joint table; re-binning and missed cells touch only the tiles where
+    they occur. The entropy form
+    MI = (Σ c_xy log c_xy - Σ c_x log c_x - Σ c_y log c_y) / N + log N
+    then runs once over the n×n sums.
     A marginal term Σ c log c of a pair that bins a series as it is binned
     alone comes from the series' own histogram, less the histogram of its
     codes on the cells the partner misses: one offset ``bincount`` per
@@ -306,46 +331,63 @@ def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
         return np.bincount(at.ravel(), minlength=(k + 1) * width)[: k * width].reshape(k, width)
 
     own_hist = histograms(np.arange(n), slice(None))
-    # terms[i, j]: Σ c log c of series i's own codes on the cells series j observes too, where own[i, j];
+    # terms[i, j]: Σ c log c of series i's marginal in pair (i, j): of its own codes on the cells series j
+    # observes too where own[i, j], else summed from the pair's joint table in the tiles below;
     # trim[i, j]: j misses some of series i's cells, whose codes come off i's own histogram
     terms = np.repeat(clogc[own_hist].sum(axis=1)[:, None], n, axis=1)
     trim = own & (counts < counts.diagonal()[:, None])
     for j in np.flatnonzero(trim.any(axis=0)):
         rows = np.flatnonzero(trim[:, j])
         terms[rows, j] = clogc[own_hist[rows] - histograms(rows, ~panel.mask[j])].sum(axis=1)
-    # joint cell (x, y) of pair (i, j) is counted at (j·width + x)·width + y - i·width²;
-    # a cell series j misses at (n+1)·width² + x·width - i·width², past the row's last pair
+    # tiles of partners end at n, n - tile, ...; partner j takes slot (j - n) % tile of its tile, where joint
+    # cell (x, y) of pair (i, j) is counted at (slot·width + x)·width + y, and a cell either series misses at
+    # tile·width², past the last slot
     block = width * width
-    y_cells = np.where(panel.mask, codes + (np.arange(n) * block)[:, None], (n + 1) * block)
-    weights = np.zeros((n, n))
-    # one buffer serves every row: an allocation per row, shrinking row by row,
-    # fragments the heap and raises peak memory
-    buffer = np.empty_like(y_cells)
+    tile = max(1, min(n, TILE_COUNTS // block))  # partners per tile
+    slot = (np.arange(n) - n) % tile
+    y_cells = codes + (slot * block)[:, None]
+    # missed_at[missed_from[j] : missed_from[j + 1]]: the flat positions, in a tile, of the cells series j misses
+    missed_rows, missed_cells = np.nonzero(~panel.mask)
+    missed_at = slot[missed_rows] * T + missed_cells
+    missed_from = np.searchsorted(missed_rows, np.arange(n + 1)).tolist()
+    joint_terms = np.zeros((n, n))  # Σ c log c over the joint table of pair (i, j >= i)
+    buffer = np.empty((tile, T), dtype=np.intp)
     for i in range(n):
-        partners = np.arange(i, n)
-        cells = np.add(y_cells[i:], codes[i] * width - i * block, out=buffer[: partners.size])
-        redo = partners[~own[i, i:]]
-        if redo.size:
-            x = _bin_codes(np.broadcast_to(values[i], (redo.size, T)), lo[i, redo], hi[i, redo], bins[i, redo])
-            cells[redo - i] += (x - codes[i]) * width
-        redo = partners[~own[i:, i]]
-        if redo.size:
-            cells[redo - i] += _bin_codes(values[redo], lo[redo, i], hi[redo, i], bins[i, redo]) - codes[redo]
-        # cells series i misses; written after the adjustments above, which could move them into the last pair
-        cells[:, ~panel.mask[i]] = partners.size * block
-        joint = np.bincount(cells.ravel(), minlength=partners.size * block)[: partners.size * block]
-        joint = joint.reshape(partners.size, width, width)
-        x_terms = terms[i, i:].copy()
-        redo = np.flatnonzero(~own[i, i:])
-        x_terms[redo] = clogc[joint[redo].sum(axis=2)].sum(axis=1)
-        y_terms = terms[i:, i].copy()
-        redo = np.flatnonzero(~own[i:, i])
-        y_terms[redo] = clogc[joint[redo].sum(axis=1)].sum(axis=1)
-        n_obs = counts[i, i:]
-        entropy_sums = clogc[joint].sum(axis=(1, 2)) - x_terms - y_terms
-        mi = np.where(varies[i, i:], np.maximum(entropy_sums / n_obs + np.log(n_obs), 0.0), 0.0)
-        weights[i, i:] = weights[i:, i] = mi
-    return AdjacencyMatrix(n, weights, "MI")
+        # x_redo: the partners whose pair bins series i anew; y_redo: the partners the pair bins anew
+        x_redo = np.flatnonzero(~own[i, i:]) + i
+        if x_redo.size:
+            x = _bin_codes(np.broadcast_to(values[i], (x_redo.size, T)), lo[i, x_redo], hi[i, x_redo], bins[i, x_redo])
+            x_moves = (x - codes[i]) * width
+        y_redo = np.flatnonzero(~own[i:, i]) + i
+        if y_redo.size:
+            y_moves = _bin_codes(values[y_redo], lo[y_redo, i], hi[y_redo, i], bins[i, y_redo]) - codes[y_redo]
+        row_missed = np.flatnonzero(~panel.mask[i])
+        row_missed_at = (np.arange(tile)[:, None] * T + row_missed).ravel()  # in every slot of a tile, slot by slot
+        x_cells = codes[i] * width
+        for j1 in range(n, i, -tile):
+            j0 = max(i, j1 - tile)
+            first = j0 - (j1 - tile)  # the slot of partner j0
+            cells = np.add(y_cells[j0:j1], x_cells, out=buffer[first:])
+            if x_redo.size:
+                x_at = slice(*np.searchsorted(x_redo, (j0, j1)))
+                cells[x_redo[x_at] - j0] += x_moves[x_at]
+            if y_redo.size:
+                y_at = slice(*np.searchsorted(y_redo, (j0, j1)))
+                cells[y_redo[y_at] - j0] += y_moves[y_at]
+            # cells either series misses, written after the adjustments above, which could move them into a slot
+            if missed_from[j0] < missed_from[j1]:
+                np.put(buffer, missed_at[missed_from[j0] : missed_from[j1]], tile * block)
+            if row_missed.size:
+                np.put(buffer, row_missed_at[first * row_missed.size :], tile * block)
+            joint = np.bincount(cells.ravel(), minlength=(tile + 1) * block)[first * block : tile * block]
+            joint = joint.reshape(j1 - j0, width, width)
+            joint_terms[i, j0:j1] = np.take(clogc, joint).sum(axis=(1, 2))
+            if x_redo.size:
+                terms[i, x_redo[x_at]] = clogc[joint[x_redo[x_at] - j0].sum(axis=2)].sum(axis=1)
+            if y_redo.size:
+                terms[y_redo[y_at], i] = clogc[joint[y_redo[y_at] - j0].sum(axis=1)].sum(axis=1)
+    mi = np.where(varies, np.maximum((joint_terms - terms - terms.T) / counts + np.log(counts), 0.0), 0.0)
+    return AdjacencyMatrix(n, np.where(np.triu(np.ones((n, n), dtype=bool)), mi, mi.T), "MI")
 
 
 def _minmax_offdiag(weights: np.ndarray) -> np.ndarray:
@@ -453,23 +495,24 @@ def _own_lags(y: np.ndarray, maxlag: int):
     return rows, cross, float(resid @ resid)
 
 
-def _augmented_rss(rows: np.ndarray, cross: np.ndarray, lags: np.ndarray, lag_gram: np.ndarray) -> float:
-    """RSS once a candidate's ``lags`` rows, of Gram ``lag_gram``, join the own-lag regressors of ``_own_lags``.
+def _augmented_normal(rows: np.ndarray, cross: np.ndarray, lags: np.ndarray, lag_gram: np.ndarray, out: np.ndarray):
+    """Write into ``out`` the normal equations [Gram | right-hand side] of an augmented fit.
+
+    The fit adds a candidate's ``lags`` rows, of Gram ``lag_gram``, to the
+    own-lag regressors of ``_own_lags``, given as their ``rows`` and ``cross``.
 
     Partitioned normal equations: of the augmented Gram only the
     candidate's blocks are new, its products with the regressors, with
     itself and with the regressand.
     """
-    k, maxlag = rows.shape[0] - 1, lags.shape[0]
+    k = rows.shape[0] - 1
     with_lags = rows @ lags.T
-    gram = np.empty((k + maxlag, k + maxlag))
-    gram[:k, :k] = cross[:k, :k]
-    gram[:k, k:] = with_lags[:k]
-    gram[k:, :k] = with_lags[:k].T
-    gram[k:, k:] = lag_gram
-    coef = _least_squares(gram, np.concatenate((cross[:k, k], with_lags[k])))
-    resid = rows[k] - coef[:k] @ rows[:k] - coef[k:] @ lags
-    return float(resid @ resid)
+    out[:k, :k] = cross[:k, :k]
+    out[:k, k:-1] = with_lags[:k]
+    out[k:, :k] = with_lags[:k].T
+    out[k:, k:-1] = lag_gram
+    out[:k, -1] = cross[:k, k]
+    out[k:, -1] = with_lags[k]
 
 
 def granger_rank(
@@ -488,11 +531,13 @@ def granger_rank(
     The target's own-lag regressors, their Gram and the restricted fit are
     computed once per joint run, and a candidate's lag Gram once per
     candidate and run, so each test adds only the candidate's products
-    with the target's rows. Each series is first scaled by a power of two
-    that brings a magnitude beyond 2**±SCALE_EXPONENT to about 1, which
-    keeps the Grams finite and changes no F statistic; ordinary series
-    keep a scale of exactly 1. One ``betainc`` call turns every F
-    statistic into its p-value.
+    with the target's rows. A target's augmented normal equations are
+    solved as one stack; if one of them is singular, they are solved one
+    by one, and the singular ones with a ridge jitter (``_least_squares``).
+    Each series is first scaled by a power of two that brings a magnitude
+    beyond 2**±SCALE_EXPONENT to about 1, which keeps the Grams finite and
+    changes no F statistic; ordinary series keep a scale of exactly 1. One
+    ``betainc`` call turns every F statistic into its p-value.
     """
     # scipy is imported here, not at the top, so that no command but
     # select-context pays for loading it
@@ -511,9 +556,11 @@ def granger_rank(
     runs = dict(zip(gapped, _longest_joint_runs(panel.mask, gapped)))  # the other pairs share all T cells
     lag_grams = {}  # (candidate, lo, hi): the candidate's lag Gram on that run
     tested, rss = [], []  # (target, candidate, residual degrees of freedom), (restricted, augmented) RSS
+    k = maxlag + 1  # own-lag regressors, the intercept included
     for target, cand_ids in candidates.items():
-        fits = {}
-        for cand in cand_ids:
+        fits, regressors = {}, []
+        normal = np.empty((len(cand_ids), k + maxlag, k + maxlag + 1))  # one [Gram | rhs] per candidate
+        for cand, system in zip(cand_ids, normal):
             lo, hi = runs.get((target, cand), (0, T))
             if hi - lo <= 10 * maxlag:
                 raise DataError(f"pair ({target}, {cand}): joint run {hi - lo} too short for maxlag={maxlag}")
@@ -523,8 +570,17 @@ def granger_rank(
             if (cand, lo, hi) not in lag_grams:
                 lag_grams[cand, lo, hi] = lags @ lags.T
             rows, cross, rss_r = fits[lo, hi]
+            _augmented_normal(rows, cross, lags, lag_grams[cand, lo, hi], system)
             tested.append((target, cand, hi - lo - 3 * maxlag - 1))
-            rss.append((rss_r, _augmented_rss(rows, cross, lags, lag_grams[cand, lo, hi])))
+            regressors.append((rows, lags, rss_r))
+        # the target's augmented fits in one stacked solve; a singular Gram sends them through the ridge one by one
+        try:
+            coefs = np.linalg.solve(normal[:, :, :-1], normal[:, :, -1:])[:, :, 0]
+        except np.linalg.LinAlgError:
+            coefs = [_least_squares(system[:, :-1], system[:, -1]) for system in normal]
+        for (rows, lags, rss_r), coef in zip(regressors, coefs):
+            resid = rows[k] - coef[:k] @ rows[:k] - coef[k:] @ lags
+            rss.append((rss_r, float(resid @ resid)))
     p_values = np.full((n, n), np.nan)
     if tested:
         targets, cands, dof = np.array(tested).T

@@ -3,13 +3,15 @@ import io
 import itertools
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contextrnn import selection
 from contextrnn.data import DataError, SeriesPanel, SynthSpec, synth_generate
 from contextrnn.selection import (
     MIN_PAIR_OBS_CORR,
@@ -25,7 +27,7 @@ from contextrnn.selection import (
     shortlist,
     write_context_map,
 )
-from contextrnn.selection import _bin_codes, _joint_counts, _joint_extremes, _longest_joint_runs
+from contextrnn.selection import _bin_codes, _bin_count, _joint_counts, _joint_extremes, _longest_joint_runs
 
 
 def make_panel(values, mask=None):
@@ -356,8 +358,25 @@ def wide_mi_panel(seed=0, n=44, T=400):
     return make_panel(values, mask)
 
 
+def tile_counts(panel, tile):
+    """The ``TILE_COUNTS`` under which ``mi_matrix`` counts ``tile`` partners per tile of ``panel``."""
+    observed = panel.mask.astype(np.float64)
+    width = int(_bin_count(observed @ observed.T).max())
+    return tile * width * width
+
+
+def missing_everywhere_panel(seed=0, n=30, T=400):
+    """Random walks in which every series misses 10% of its cells, so nearly every pair bins anew."""
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.normal(size=(n, T)).cumsum(axis=1), 1)
+    mask = np.ones((n, T), dtype=bool)
+    for i in range(n):
+        mask[i, rng.choice(T, T // 10, replace=False)] = False
+    return make_panel(values, mask)
+
+
 class TestMutualInformationCounts:
-    """One ``bincount`` per row counts every pair, a cell either series misses landing past the row's pairs."""
+    """Tiles of partners count every pair, one ``bincount`` a tile; a missed cell lands past the tile's pairs."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_pair_matches_histogram_oracle(self, seed):
@@ -368,6 +387,28 @@ class TestMutualInformationCounts:
         assert panel.n >= 40 and (~panel.mask).any(axis=1).sum() >= 10
         assert rebinned[~panel.mask.all(axis=1)].any()  # gapped rows rebin partners that lost an extreme
         np.testing.assert_allclose(mi_matrix(panel).weights, reference_mi(panel), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "panel",
+        [wide_mi_panel(0), wide_mi_panel(1), wide_mi_panel(2), missing_everywhere_panel()],
+        ids=["wide0", "wide1", "wide2", "ten_percent_missing"],
+    )
+    def test_tile_width_changes_no_bit(self, panel, monkeypatch):
+        # 1 and 3 partners split every row, 16 is the size on the benchmark's panel, n and more hold a row in one tile
+        weights = []
+        for tile in (1, 3, 16, panel.n, 2 * panel.n):
+            monkeypatch.setattr(selection, "TILE_COUNTS", tile_counts(panel, tile))
+            weights.append(mi_matrix(panel).weights)
+        for other in weights[1:]:
+            assert other.tobytes() == weights[0].tobytes()
+        np.testing.assert_allclose(weights[0], reference_mi(panel), rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gapped_panels())
+    def test_random_gaps_in_tiles_of_two(self, panel):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(selection, "TILE_COUNTS", tile_counts(panel, 2))
+            assert_matches_reference(panel)
 
 
 def brute_force_extremes(panel):
@@ -512,6 +553,24 @@ class TestBinCodes:
         want[values == hi] = bins - 1  # np.histogram2d closes the top bin
         got = _bin_codes(values[None], np.array([lo]), np.array([hi]), np.array([bins]))[0]
         np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3), st.integers(8, 64)), min_size=2, max_size=6))
+    @example([(1000.0, 5e-13, 64), (-3.0, 7.0, 9)])  # steps far below an ulp of lo: guesses many bins off
+    def test_rows_binned_their_own_way(self, rows):
+        # each row has its own edges, bin count and stride into the edge table; values lie on,
+        # beside and beyond the edges, and a row with lo == hi puts everything in bin 0
+        lo, width, bins = (np.array(column) for column in zip(*rows))
+        hi = lo + width
+        edges = [np.linspace(a, b, k + 1) for a, b, k in zip(lo, hi, bins)]
+        values = []
+        for e in edges:
+            row = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf), [e[0] - 1.0, e[-1] + 1.0]])
+            values.append(np.resize(row, 3 * 65 + 2))  # repeated to a common length
+        values = np.stack(values)
+        want = [np.clip(np.searchsorted(e, v, side="right") - 1, 0, k - 1) if b > a else np.zeros(v.size, dtype=int)
+                for e, v, a, b, k in zip(edges, values, lo, hi, bins)]
+        np.testing.assert_array_equal(_bin_codes(values, lo, hi, bins), np.stack(want))
 
 
 class TestAggregate:
@@ -824,6 +883,26 @@ class TestGrangerRankReusesRestrictedFit:
         assert result.per_target[0][0] == 4
 
 
+class TestGrangerStackedSolve:
+    def test_singular_fit_falls_back_alone(self, caplog):
+        # the constant candidate 3 makes one Gram in each target's stack singular; the
+        # stack is then solved fit by fit, and only that fit takes the ridge
+        rng = np.random.default_rng(46)
+        values = rng.normal(size=(5, 300)).cumsum(axis=1) + 30.0
+        values[0, 1:] += 0.7 * values[1, :-1]
+        values[3] = 2.5
+        panel = make_panel(values)
+        candidates = {0: (1, 2, 3, 4), 1: (0, 3, 2, 4)}
+        with caplog.at_level(logging.WARNING, logger="contextrnn.selection"):
+            result = granger_rank(panel, candidates, maxlag=3, S=2)
+        singular = [r for r in caplog.records if "singular Granger regression" in r.getMessage()]
+        assert len(singular) == 2  # one per singular fit
+        for target, cands in candidates.items():
+            for cand in cands:
+                assert result.p_values[target, cand] == pair_pvalue(values[target], values[cand], maxlag=3)
+        assert result.per_target[0][0] == 1
+
+
 class TestGrangerNearOverflow:
     """Lag Grams of a series near 1e307 overflow unless the series is scaled first."""
 
@@ -899,6 +978,29 @@ class TestBuildContextMap:
         a = build_context_map(panel, S=2, K=3)
         b = build_context_map(panel, S=2, K=3)
         assert a == b
+
+
+class TestSelectionMemory:
+    def test_peak_of_one_selection(self):
+        # the 200 × 2000 shape of the benchmark's select panel, 40 series each missing 20 cells
+        rng = np.random.default_rng(0)
+        n, T = 200, 2000
+        values = rng.normal(size=(n, T)).cumsum(axis=1) + rng.normal(size=(n, T))
+        mask = np.ones((n, T), dtype=bool)
+        for i in rng.choice(n, 40, replace=False):
+            mask[i, rng.choice(T, 20, replace=False)] = False
+        panel = make_panel(values, mask)
+        import scipy.special  # noqa: F401  (loaded before tracing: the first Granger call imports it)
+
+        tracemalloc.start()
+        try:
+            build_context_map(panel, S=5, K=15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # MI counting each row in one n-wide buffer peaked at 21.2 MiB here; in cache-sized
+        # tiles of partners it peaks at 18.3 MiB. The bound lies between the two.
+        assert peak < 20 * 2**20
 
 
 class TestScaleInvariance:
