@@ -12,12 +12,11 @@ import math
 import re
 import sys
 
-from .config import TrainConfig, load_config, parse_overrides
+from .config import CONTEXT_MODES, TrainConfig, load_config, parse_overrides, read_key_values
 from .data import (
     DataError,
     SynthSpec,
     load_panel,
-    read_lines,
     split,
     synth_generate,
     write_forecast_csv,
@@ -31,7 +30,7 @@ from .model import (
     save_model,
     train,
 )
-from .selection import build_context_map, read_context_map, write_context_map
+from .selection import SELECTION_MODES, build_context_map, read_context_map, write_context_map
 
 __all__ = ["run_cli", "main"]
 
@@ -60,9 +59,11 @@ def _parse_edges(text: str):
     return tuple(edges)
 
 
-#: synth flags, also the keys of a synth spec file: (type, default) of each
-_SYNTH_FIELDS = {"n": (int, 4), "t": (int, 400), "edges": (_parse_edges, ()), "coupling": (float, 1.0), "lag": (int, 1),
-                 "noise": (float, 0.1), "period": (int, 24), "seed": (int, 0)}
+#: synth flags, also the keys of a synth spec file: the type of each and the SynthSpec field it sets
+_SYNTH_FIELDS = {"n": (int, "n"), "t": (int, "T"), "edges": (_parse_edges, "edges"), "coupling": (float, "coupling"),
+                 "lag": (int, "lag"), "noise": (float, "noise_sigma"), "period": (int, "seasonal_period"), "seed": (int, None)}
+#: the defaults of the synth flags whose SynthSpec field has none, and of the seed
+_SYNTH_DEFAULTS = {"n": 4, "t": 400, "seed": 0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,7 +93,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("select-context", help="build a context map from data")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["data_driven", "predefined"], default="data_driven")
+    p.add_argument("--mode", choices=SELECTION_MODES, default="data_driven")
     p.add_argument("--predefined", help="existing map file for predefined mode")
     common(p)
 
@@ -118,7 +119,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="write a synthetic coupled panel")
     p.add_argument("--spec", help="flat key = value spec file (flags override)")
-    for key, (kind, _default) in _SYNTH_FIELDS.items():
+    for key, (kind, _field) in _SYNTH_FIELDS.items():
         p.add_argument(f"--{key}", type=kind, help="driver-driven pairs, e.g. 0-1,0-2:-1.5" if key == "edges" else None)
     p.add_argument("--out", required=True)
 
@@ -208,39 +209,17 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _synth_values(args) -> dict:
-    values = {key: default for key, (_kind, default) in _SYNTH_FIELDS.items()}
-    lines = read_lines(args.spec, "synth spec") if args.spec else []
-    for lineno, line in enumerate(lines, 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        key, sep, value = body.partition("=")
-        key = key.strip()
-        if not sep or key not in _SYNTH_FIELDS:
+def _cmd_synth(args) -> int:
+    values = dict(_SYNTH_DEFAULTS)  # then the spec file's lines, then the flags given
+    for lineno, line, key, value in read_key_values(args.spec, "synth spec") if args.spec else ():
+        if key not in _SYNTH_FIELDS:
             raise DataError(f"bad synth spec line {lineno}: {line!r}")
         try:
-            values[key] = _SYNTH_FIELDS[key][0](value.strip())
+            values[key] = _SYNTH_FIELDS[key][0](value)
         except (ValueError, argparse.ArgumentTypeError):
             raise DataError(f"bad synth spec value on line {lineno}: {line!r}") from None
-    for key in _SYNTH_FIELDS:
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
-    return values
-
-
-def _cmd_synth(args) -> int:
-    values = _synth_values(args)
-    spec = SynthSpec(
-        n=values["n"],
-        T=values["t"],
-        edges=values["edges"],
-        coupling=values["coupling"],
-        lag=values["lag"],
-        noise_sigma=values["noise"],
-        seasonal_period=values["period"],
-    )
+    values.update((key, getattr(args, key)) for key in _SYNTH_FIELDS if getattr(args, key) is not None)
+    spec = SynthSpec(**{name: values[key] for key, (_kind, name) in _SYNTH_FIELDS.items() if name and key in values})
     panel = synth_generate(spec, seed=values["seed"])
     write_panel_csv(panel, args.out)
     print(f"wrote {panel.n}x{panel.T} panel to {args.out}")
@@ -253,7 +232,7 @@ def _cmd_ablate(args) -> int:
     cm = read_context_map(args.map_path)
     train_panel, val_panel, _ = split(panel)
     test_start = int(math.floor(0.8 * panel.T))
-    for mode in ("full", "global", "none"):
+    for mode in CONTEXT_MODES:
         mode_cfg = cfg.with_overrides(context_mode=mode)
         params, _ = train(train_panel, cm if mode != "none" else None, mode_cfg, val_panel)
         report = evaluate(params, panel, test_start)

@@ -1,20 +1,26 @@
-"""Run configuration and the flat ``key = value`` config-file format.
+"""Run configuration and the flat ``key = value`` text format.
 
-Every field of :class:`TrainConfig` is addressable from a config file;
-CLI flags override file values. Schedules are written as
-``epoch:value`` pairs separated by commas and apply step-wise (the entry
-with the largest epoch not exceeding the current one wins).
+The field types of :class:`TrainConfig` are the one schema that config
+files, CLI ``--set`` values and model-file meta blocks are read and
+written by. CLI flags override file values. Tuples are comma-separated;
+schedules are ``epoch:value`` pairs separated by commas and apply
+step-wise (the entry with the largest epoch not exceeding the current one
+wins).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from typing import get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 from .data import DataError, read_lines
 
-__all__ = ["TrainConfig", "load_config", "parse_overrides"]
+__all__ = ["CONTEXT_MODES", "FIELD_TYPES", "TrainConfig", "load_config", "parse_overrides", "read_key_values"]
+
+#: what the context track feeds the main track; a model file stores a mode as its index here
+CONTEXT_MODES = ("full", "global", "none")
 
 
 def _default_batch_schedule():
@@ -28,8 +34,8 @@ def _default_lr_schedule():
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 11
-    batch_schedule: dict = field(default_factory=_default_batch_schedule)
-    lr_schedule: dict = field(default_factory=_default_lr_schedule)
+    batch_schedule: dict[int, int] = field(default_factory=_default_batch_schedule)
+    lr_schedule: dict[int, float] = field(default_factory=_default_lr_schedule)
     q_star: float = 0.48
     q_low: float = 0.025
     q_high: float = 0.975
@@ -37,7 +43,7 @@ class TrainConfig:
     window: int = 168  # input window W
     horizon: int = 24  # forecast length fh
     period: int = 24  # seasonal period p
-    dilations: tuple = (2, 6, 12, 24)
+    dilations: tuple[int, ...] = (2, 6, 12, 24)
     context_size: int = 2  # u, per-series context slots
     context_batch: int = 15  # K, series in the context track
     contexts_per_target: int = 5  # S, ranked contexts per target
@@ -50,7 +56,7 @@ class TrainConfig:
     maxlag: int = 4  # Granger lag order
     seed: int = 0
     ensemble: int = 1
-    context_mode: str = "full"  # full | global | none
+    context_mode: Literal[CONTEXT_MODES] = "full"
 
     def __post_init__(self):
         if not (0.0 < self.q_low < self.q_star < self.q_high < 1.0):
@@ -70,7 +76,7 @@ class TrainConfig:
             raise DataError(f"{small[0]} must be positive, got {getattr(self, small[0])}")
         if any(d < 1 for d in self.dilations) or not self.dilations:
             raise DataError("dilations must be positive")
-        if self.context_mode not in ("full", "global", "none"):
+        if self.context_mode not in CONTEXT_MODES:
             raise DataError(f"unknown context mode {self.context_mode!r}")
         for name in ("batch_schedule", "lr_schedule"):
             sched = getattr(self, name)
@@ -102,34 +108,40 @@ class TrainConfig:
         return replace(self, **kwargs)
 
 
-#: the int and float fields with their types, in declaration order; model
-#: files store them in this order as ``meta.scalars``
-SCALAR_FIELDS = {
-    name: kind for name, kind in get_type_hints(TrainConfig).items() if kind in (int, float)
-}
-_SCHEDULE_FIELDS = {"batch_schedule", "lr_schedule"}
+#: each field's type, in declaration order
+FIELD_TYPES = get_type_hints(TrainConfig)
 
 
 def _parse_value(name: str, text: str):
+    """The value of field ``name`` written as ``text``, read by the field's type."""
+    if name not in FIELD_TYPES:
+        raise DataError(f"unknown config key {name!r}")
+    kind = FIELD_TYPES[name]
+    origin, args = get_origin(kind), get_args(kind)
     text = text.strip()
     try:
-        if name in SCALAR_FIELDS:
-            return SCALAR_FIELDS[name](text)
-        if name == "dilations":
-            return tuple(int(tok) for tok in text.split(",") if tok.strip())
-        if name in _SCHEDULE_FIELDS:
-            sched = {}
-            for pair in text.split(","):
-                if not pair.strip():
-                    continue
-                epoch, _, value = pair.partition(":")
-                sched[int(epoch)] = float(value) if name == "lr_schedule" else int(value)
-            return sched
+        if origin is tuple:
+            return tuple(args[0](tok) for tok in text.split(",") if tok.strip())
+        if origin is dict:
+            pairs = (pair.partition(":") for pair in text.split(",") if pair.strip())
+            return {args[0](key): args[1](value) for key, _, value in pairs}
+        if origin is Literal:
+            return text  # TrainConfig checks it against the literals
+        return kind(text)
     except ValueError:
         raise DataError(f"config key {name!r} has a malformed value {text!r}") from None
-    if name == "context_mode":
-        return text
-    raise DataError(f"unknown config key {name!r}")
+
+
+def read_key_values(path, what: str) -> Iterator[tuple[int, str, str, str]]:
+    """(line number, line, key, value) of each ``key = value`` line, ``#`` comments cut; a line without ``=`` is a DataError."""
+    for lineno, line in enumerate(read_lines(path, what), 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        key, sep, value = body.partition("=")
+        if not sep:
+            raise DataError(f"{what} line {lineno} is not key = value: {line!r}")
+        yield lineno, line, key.strip(), value.strip()
 
 
 def parse_overrides(pairs) -> dict:
@@ -144,15 +156,7 @@ def parse_overrides(pairs) -> dict:
 
 
 def load_config(path, **overrides) -> TrainConfig:
-    """Read a flat key=value file ('#' comments allowed) and apply overrides."""
-    values = {}
-    for lineno, line in enumerate(read_lines(path, "config"), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        key, sep, value = body.partition("=")
-        if not sep:
-            raise DataError(f"config line {lineno} is not key = value: {line!r}")
-        values[key.strip()] = _parse_value(key.strip(), value)
+    """Read a flat key = value file ('#' comments allowed) and apply overrides."""
+    values = {key: _parse_value(key, value) for _lineno, _line, key, value in read_key_values(path, "config")}
     values.update(overrides)
     return TrainConfig(**values)

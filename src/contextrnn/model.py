@@ -1,4 +1,4 @@
-"""Model assembly: loss, optimizer, training and prediction loops, serialization.
+"""Model assembly: loss, optimizer, training and prediction loops, model files of every array and config field.
 
 The main track preprocesses each target window against its own smoothing
 state, concatenates seasonal factors, the log window level, an embedded
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .cells import (
     new_stack_states,
     stack_step,
 )
-from .config import SCALAR_FIELDS, TrainConfig
+from .config import FIELD_TYPES, TrainConfig
 from .context_track import (
     CONV_FIELDS,
     ConvStackParams,
@@ -42,7 +43,7 @@ from .context_track import (
     init_conv_arrays,
     modulate,
 )
-from .data import DataError, SeriesPanel, calendar_features, opened, postprocess
+from .data import CALENDAR_SIZE, DataError, SeriesPanel, calendar_features, opened, postprocess
 from .selection import ContextMap
 from .smoothing import DEFAULT_LOGIT, ESState, es_init, es_skip, es_step, future_factors
 from .tape import DomainError, Tape, Tensor, backward
@@ -79,6 +80,9 @@ ADAM_EPS = 1e-8
 #: 16 GiB, and training keeps four more arrays of that size (the Adam
 #: moments, the gradients and the best epoch's copy)
 MAX_PARAMETERS = 2**31
+
+#: the largest integer magnitude a model file stores exactly: it holds every value as a float64
+MAX_STORED_INT = 2**53
 
 
 class DivergenceError(Exception):
@@ -215,6 +219,11 @@ def init_model(config: TrainConfig, n_series: int, context_map: ContextMap | Non
 
     overdrawn = f"config asks for more than {MAX_PARAMETERS} parameters"
     _parameter_arrays(config, n_series, _Shapes(MAX_PARAMETERS, config, overdrawn))  # sizes checked, nothing drawn
+    for name in FIELD_TYPES:
+        value = getattr(config, name)
+        flat = [*value, *value.values()] if isinstance(value, dict) else value if isinstance(value, tuple) else [value]
+        if any(isinstance(x, int) and abs(x) > MAX_STORED_INT for x in flat):
+            raise DataError(f"{name} holds an integer beyond ±2**53, which a model file cannot store exactly")
     arrays = _parameter_arrays(config, n_series, np.random.default_rng(config.seed))
     return ModelParams(config, n_series, tuple(global_batch), arrays)
 
@@ -250,7 +259,7 @@ class _Shapes:
 def _parameter_arrays(config: TrainConfig, n_series: int, rng) -> dict:
     """Every parameter array, drawn from ``rng`` in the order the model file format fixes."""
     arrays: dict[str, np.ndarray] = {}
-    arrays["embedding"] = rng.uniform(-1, 1, (74, CALENDAR_EMBED)) / np.sqrt(74)
+    arrays["embedding"] = rng.uniform(-1, 1, (CALENDAR_SIZE, CALENDAR_EMBED)) / np.sqrt(CALENDAR_SIZE)
     head_rows = 3 * config.horizon + 2
     arrays["head_w"] = rng.uniform(-1, 1, (head_rows, config.hidden_width)) / np.sqrt(config.hidden_width)
     arrays["head_b"] = np.zeros(head_rows)
@@ -751,40 +760,41 @@ def ensemble_predict(members, panel: SeriesPanel, anchor: int, series=None):
 # serialization: magic 'CTXR', u32 version, named little-endian f64 blocks
 
 
-_MODE_CODES = {"full": 0, "global": 1, "none": 2}
-_MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
+#: the config fields of the ``meta.scalars`` slots, in declaration order; the series count follows them
+_SCALAR_SLOTS = tuple(name for name, kind in FIELD_TYPES.items() if get_origin(kind) not in (tuple, dict))
 
 
 def _meta_blocks(params: ModelParams) -> dict:
-    cfg = params.config
-    scalars = [float(getattr(cfg, name)) for name in SCALAR_FIELDS]
-    scalars.append(float(_MODE_CODES[cfg.context_mode]))
-    scalars.append(float(params.n_series))
-    return {
-        "meta.scalars": np.array(scalars),
-        "meta.dilations": np.array(cfg.dilations, dtype=np.float64),
-        "meta.batch_schedule": np.array(
-            [x for k in sorted(cfg.batch_schedule) for x in (k, cfg.batch_schedule[k])], dtype=np.float64
-        ),
-        "meta.lr_schedule": np.array(
-            [x for k in sorted(cfg.lr_schedule) for x in (k, cfg.lr_schedule[k])], dtype=np.float64
-        ),
-        "meta.global_batch": np.array(params.global_batch, dtype=np.float64),
-    }
+    """The meta blocks, derived from the config's field types.
 
-
-def _meta_ints(block: str, values) -> list[int]:
-    """``values`` read from the meta block ``block`` as ints.
-
-    A value that is not finite or not integral is a DataError naming the
-    block, where ``int`` would raise or silently truncate.
+    ``meta.scalars`` holds each number, and each mode as its index among its
+    literals, in declaration order, then the series count; each tuple or
+    schedule field is a block ``meta.<field>``, a schedule as epoch/value
+    pairs in epoch order.
     """
-    out = []
-    for x in np.asarray(values, dtype=np.float64).ravel().tolist():
-        if not x.is_integer():
-            raise DataError(f"{block} holds {x!r} where an integer belongs")
-        out.append(int(x))
-    return out
+    blocks, scalars = {}, []
+    for name, kind in FIELD_TYPES.items():
+        value = getattr(params.config, name)
+        if get_origin(kind) is dict:
+            value = [x for k in sorted(value) for x in (k, value[k])]
+        elif get_origin(kind) is Literal:
+            value = get_args(kind).index(value)
+        if name in _SCALAR_SLOTS:
+            scalars.append(value)
+        else:
+            blocks[f"meta.{name}"] = np.array(value, dtype=np.float64)
+    blocks["meta.scalars"] = np.array(scalars + [params.n_series], dtype=np.float64)
+    blocks["meta.global_batch"] = np.array(params.global_batch, dtype=np.float64)
+    return blocks
+
+
+def _meta_values(block: str, values, kind) -> list:
+    """``values`` of the meta block ``block`` as ``kind``; a non-integral int is a DataError, not truncated."""
+    out = np.asarray(values, dtype=np.float64).ravel().tolist()
+    bad = [x for x in out if kind is int and not x.is_integer()]
+    if bad:
+        raise DataError(f"{block} holds {bad[0]!r} where an integer belongs")
+    return [kind(x) for x in out]
 
 
 def _config_from_meta(blocks: dict) -> tuple[TrainConfig, int, tuple]:
@@ -793,27 +803,27 @@ def _config_from_meta(blocks: dict) -> tuple[TrainConfig, int, tuple]:
             raise DataError(f"model file lacks its {name} block")
         return blocks[name]
 
-    def schedule(name, kind):
-        flat = meta(name).ravel()
-        if flat.size % 2:
-            raise DataError(f"{name} holds {flat.size} values, not epoch/value pairs")
-        values = _meta_ints(name, flat[1::2]) if kind is int else flat[1::2].tolist()
-        return dict(zip(_meta_ints(name, flat[0::2]), values))
-
     scalars = meta("meta.scalars")
-    if scalars.shape != (len(SCALAR_FIELDS) + 2,):
-        raise DataError(f"meta.scalars holds shape {scalars.shape}, expected ({len(SCALAR_FIELDS) + 2},)")
-    values = dict(zip(SCALAR_FIELDS, scalars.tolist()))
-    int_fields = [name for name, kind in SCALAR_FIELDS.items() if kind is int]
-    values.update(zip(int_fields, _meta_ints("meta.scalars", [values[name] for name in int_fields])))
-    if scalars[-2] not in _MODE_NAMES:
-        raise DataError(f"meta.scalars holds the unknown context-mode code {float(scalars[-2])!r}")
-    values["context_mode"] = _MODE_NAMES[scalars[-2]]
-    (n_series,) = _meta_ints("meta.scalars", scalars[-1:])
-    values["dilations"] = tuple(_meta_ints("meta.dilations", meta("meta.dilations")))
-    values["batch_schedule"] = schedule("meta.batch_schedule", int)
-    values["lr_schedule"] = schedule("meta.lr_schedule", float)
-    global_batch = tuple(_meta_ints("meta.global_batch", meta("meta.global_batch")))
+    if scalars.shape != (len(_SCALAR_SLOTS) + 1,):
+        raise DataError(f"meta.scalars holds shape {scalars.shape}, expected ({len(_SCALAR_SLOTS) + 1},)")
+    values = dict(zip(_SCALAR_SLOTS, scalars.tolist()))
+    for name, kind in FIELD_TYPES.items():
+        origin, args, block = get_origin(kind), get_args(kind), f"meta.{name}"
+        if origin is dict:
+            flat = meta(block).ravel()
+            if flat.size % 2:
+                raise DataError(f"{block} holds {flat.size} values, not epoch/value pairs")
+            values[name] = dict(zip(_meta_values(block, flat[0::2], args[0]), _meta_values(block, flat[1::2], args[1])))
+        elif origin is tuple:
+            values[name] = tuple(_meta_values(block, meta(block), args[0]))
+        elif origin is Literal:
+            if values[name] not in range(len(args)):
+                raise DataError(f"meta.scalars holds the unknown {name.replace('_', '-')} code {values[name]!r}")
+            values[name] = args[int(values[name])]
+        else:
+            (values[name],) = _meta_values("meta.scalars", [values[name]], kind)
+    (n_series,) = _meta_values("meta.scalars", scalars[-1:], int)
+    global_batch = tuple(_meta_values("meta.global_batch", meta("meta.global_batch"), int))
     return TrainConfig(**values), n_series, global_batch
 
 

@@ -38,6 +38,7 @@ from .data import DataError, SeriesPanel, opened, read_lines
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "SELECTION_MODES",
     "AdjacencyMatrix",
     "ContextMap",
     "GrangerResult",
@@ -51,6 +52,9 @@ __all__ = [
     "write_context_map",
     "read_context_map",
 ]
+
+#: how ``build_context_map`` picks contexts: from the data, or as a given map file says
+SELECTION_MODES = ("data_driven", "predefined")
 
 #: ridge jitter added to normal equations when a Granger regression is singular
 RIDGE = 1e-8
@@ -617,6 +621,8 @@ def build_context_map(
     the K series picked most often across targets (ties by total
     aggregated weight, then id).
     """
+    if mode not in SELECTION_MODES:
+        raise DataError(f"unknown context selection mode {mode!r}")
     if mode == "predefined":
         if predefined_path is None:
             raise DataError("predefined mode needs a map file")
@@ -626,8 +632,6 @@ def build_context_map(
         if bad:
             raise DataError(f"predefined map references unknown series ids {sorted(set(bad))}")
         return cm
-    if mode != "data_driven":
-        raise DataError(f"unknown context selection mode {mode!r}")
     if K > panel.n:
         raise DataError("context batch cannot exceed the series count")
 

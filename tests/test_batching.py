@@ -1,9 +1,11 @@
-"""The batched sweep gives every series what it would get alone.
+"""The batched sweep gives every series what it would get alone, and its gradients on gaps are right.
 
 A batch of one never blends: its only row is skipped or used as a whole.
 So comparing a batch of all series with one sweep per series checks the
 row blends (smoothing steps with some rows missing, cell histories held
 for skipped windows, held smoothing corrections) against the plain rules.
+A finite-difference check of the whole sweep on a gapped batch checks the
+gradients that flow through those blends.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from contextrnn.model import (
     validation_loss,
 )
 from contextrnn.selection import ContextMap
+from contextrnn.tape import Tensor, grad_check
 
 REL = 1e-10
 
@@ -181,3 +184,86 @@ def test_forward_only_sweeps_record_nothing(monkeypatch):
     assert predict(params, panel, anchor=panel.T - 1)
     assert validation_loss(params, panel) is not None
     assert emits and made == []
+
+
+#: coordinates the gapped gradient check probes, per leaf, and the share of the
+#: leaf's largest analytic gradient that each must reach. Central differences
+#: at epsilon 1e-4 on a loss near 0.1 carry rounding errors of about 1e-12 in
+#: the derivative; some coordinates' gradients lie near 1e-11 (in
+#: layer1.bottom.U), where that error alone exceeds the 1e-4 tolerance. A
+#: coordinate within a tenth of its leaf's largest gradient is read clearly.
+PROBES_PER_LEAF = 3
+PROBE_SHARE = 0.1
+
+
+def gapped_batch_loss():
+    """(loss of a parameter list, the parameter arrays) of the whole sweep over a gapped batch.
+
+    The acceptance suite's tiny model (W=8, fh=2, K=2) at batch 4, unrolled
+    over 14 anchors of a 4-series panel: context series 1 misses one cell,
+    main series 2 misses 6 cells in a row and so skips 5 windows, and series
+    3 misses one cell of two anchors' target windows.
+    """
+    cfg = TrainConfig(
+        epochs=1, batch_schedule={1: 4}, lr_schedule={1: 1e-3},
+        window=8, horizon=2, period=4, dilations=(1, 2),
+        context_size=2, context_batch=2, state_width=8, hidden_width=8,
+        conv_channels=4, stride=1, steps_per_update=100, seed=0,
+    )
+    base = synth_generate(
+        SynthSpec(n=4, T=30, edges=((0, 1), (0, 2)), coupling=1.0, lag=1, noise_sigma=0.3, seasonal_period=4), seed=5
+    )
+    mask = np.ones((base.n, base.T), dtype=bool)
+    mask[1, 12] = False
+    mask[2, 8:14] = False
+    mask[3, 19] = False
+    panel = SeriesPanel(np.where(mask, base.values, 0.0), base.timestamps, mask, base.frequency)
+    template = init_model(cfg, 4, ContextMap({0: (1,), 1: (0,), 2: (0,), 3: (0,)}, (0, 1), S=1, K=2))
+    names = sorted(template.arrays)
+    anchors = _anchor_grid(panel, cfg)[:14]
+
+    def loss(tensors):
+        sweep = _Sweep(panel, template, range(4))
+        sweep.set_views(_Views(template, leafs=dict(zip(names, tensors))))
+        terms = []
+        for t in anchors:
+            sweep.advance_to(t)
+            got = sweep.loss_terms(t, sweep.step(t))
+            if got is not None:
+                terms.append(got)
+        assert sweep.skipped_windows == 5
+        total, count = _mean_loss(cfg, terms)
+        assert count == 4 * len(anchors) - 14  # 5 skipped windows and 9 incomplete target windows
+        return total
+
+    return loss, [template.arrays[name] for name in names]
+
+
+def test_gradient_of_the_sweep_on_a_gapped_batch():
+    loss, arrays = gapped_batch_loss()
+    tape = tp.Tape()
+    leafs = [tape.leaf(arr) for arr in arrays]
+    grads = tp.backward(loss(leafs))
+    rng = np.random.default_rng(7)
+    probes = []
+    for leaf in leafs:
+        size = np.abs(grads[leaf.node]).ravel()
+        assert size.max() > 0.0
+        strong = np.flatnonzero(size >= PROBE_SHARE * size.max())
+        probes.append(rng.choice(strong, size=min(PROBES_PER_LEAF, strong.size), replace=False))
+
+    def probed_loss(vectors):
+        # each leaf is its array with the probed coordinates taken from a
+        # vector: zeros there plus a 0/1 selection of the vector, which
+        # rebuilds the array exactly
+        rebuilt = []
+        for arr, coords, vector in zip(arrays, probes, vectors):
+            rest = arr.ravel().copy()
+            rest[coords] = 0.0
+            select = np.zeros((arr.size, coords.size))
+            select[coords, np.arange(coords.size)] = 1.0
+            rebuilt.append(tp.reshape(tp.add(Tensor(rest), tp.matmul(Tensor(select), vector)), arr.shape))
+        return loss(rebuilt)
+
+    err = grad_check(probed_loss, [arr.ravel()[coords] for arr, coords in zip(arrays, probes)], epsilon=1e-4)
+    assert err <= 1e-4, f"gapped batch: {err:.2e}"

@@ -6,7 +6,6 @@ import pytest
 
 from contextrnn import model as model_module
 from contextrnn.cli import run_cli
-from contextrnn.config import SCALAR_FIELDS
 from contextrnn.data import SeriesPanel, load_panel, write_panel_csv
 from contextrnn.metrics import forecast_matrices
 from contextrnn.model import load_model, save_model
@@ -452,7 +451,7 @@ class TestMalformedModelFile:
     def test_config_larger_than_the_file(self, workspace, trained, tmp_path, capsys, monkeypatch, slot, value):
         # refused before any array of the claimed size is built
         write_meta = model_module._meta_blocks
-        index = list(SCALAR_FIELDS).index(slot) if slot in SCALAR_FIELDS else -1
+        index = model_module._SCALAR_SLOTS.index(slot) if slot in model_module._SCALAR_SLOTS else -1
 
         def huge(params):
             blocks = write_meta(params)
@@ -463,9 +462,9 @@ class TestMalformedModelFile:
         self.assert_data_error(self.saved(trained, tmp_path), workspace[2], capsys, "holds")
 
     @pytest.mark.parametrize("block, index, value", [
-        ("meta.scalars", list(SCALAR_FIELDS).index("window"), math.nan),
-        ("meta.scalars", list(SCALAR_FIELDS).index("window"), math.inf),
-        ("meta.scalars", list(SCALAR_FIELDS).index("window"), 16.5),
+        ("meta.scalars", model_module._SCALAR_SLOTS.index("window"), math.nan),
+        ("meta.scalars", model_module._SCALAR_SLOTS.index("window"), math.inf),
+        ("meta.scalars", model_module._SCALAR_SLOTS.index("window"), 16.5),
         ("meta.scalars", -1, math.nan),  # the series count
         ("meta.dilations", 0, math.nan),
         ("meta.global_batch", 0, math.nan),

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from contextrnn import model
 from contextrnn.cli import run_cli
-from contextrnn.config import SCALAR_FIELDS, TrainConfig, load_config
+from contextrnn.config import FIELD_TYPES, TrainConfig, load_config
 from contextrnn.data import DataError, SynthSpec, load_panel, synth_generate, write_panel_csv
 from contextrnn.model import init_model, load_model, save_model
 from contextrnn.selection import ContextMap, read_context_map, write_context_map
@@ -36,8 +36,8 @@ META = model._meta_blocks(PARAMS)
 
 #: (block, index) of every meta value that must be an integer
 INT_SLOTS = (
-    [("meta.scalars", i) for i, kind in enumerate(SCALAR_FIELDS.values()) if kind is int]
-    + [("meta.scalars", len(SCALAR_FIELDS)), ("meta.scalars", len(SCALAR_FIELDS) + 1)]  # context mode, series count
+    [("meta.scalars", i) for i, name in enumerate(model._SCALAR_SLOTS) if FIELD_TYPES[name] is not float]  # ints, mode
+    + [("meta.scalars", len(model._SCALAR_SLOTS))]  # the series count
     + [("meta.dilations", i) for i in range(META["meta.dilations"].size)]
     + [("meta.batch_schedule", i) for i in range(META["meta.batch_schedule"].size)]
     + [("meta.lr_schedule", i) for i in range(0, META["meta.lr_schedule"].size, 2)]  # the epochs
@@ -46,10 +46,10 @@ INT_SLOTS = (
 SCHEDULES = ["meta.batch_schedule", "meta.lr_schedule"]
 
 #: the meta.scalars slots that size parameter arrays, and one that only must be positive
-SIZING = [("meta.scalars", list(SCALAR_FIELDS).index(name)) for name in (
+SIZING = [("meta.scalars", model._SCALAR_SLOTS.index(name)) for name in (
     "window", "period", "context_size", "context_batch", "state_width", "hidden_width", "conv_channels", "conv_kernel",
 )]
-POSITIVE = SIZING + [("meta.scalars", list(SCALAR_FIELDS).index("contexts_per_target"))]
+POSITIVE = SIZING + [("meta.scalars", model._SCALAR_SLOTS.index("contexts_per_target"))]
 OUT_OF_RANGE = [-1.0, 0.0, 1e19, -1e19, 1e300]
 
 not_integral = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(

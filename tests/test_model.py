@@ -5,14 +5,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contextrnn import model
 from contextrnn import tape as tp
 from contextrnn.cells import CELL_FIELDS
 from contextrnn.cli import run_cli
-from contextrnn.config import TrainConfig, load_config, parse_overrides
+from contextrnn.config import CONTEXT_MODES, TrainConfig, load_config, parse_overrides
 from contextrnn.data import DataError, SynthSpec, split, synth_generate, write_panel_csv
 from contextrnn.model import (
+    MAX_STORED_INT,
     Adam,
     DivergenceError,
     assemble_input,
@@ -241,6 +243,16 @@ class TestConfig:
 
 
 class TestModelStructure:
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 2**53 + 1),  # a model file would store 2**53
+        ("maxlag", -(2**60)),
+        ("batch_schedule", {1: 2, 2**53 + 2: 4}),
+        ("epochs", 10**400),  # beyond any float64
+    ])
+    def test_integer_a_model_file_cannot_store(self, field, value):
+        with pytest.raises(DataError, match=f"{field} holds an integer beyond"):
+            init_model(tiny_config(**{field: value}), 4, tiny_map())
+
     def test_context_mode_parameter_sets(self):
         full = init_model(tiny_config(), 4, tiny_map())
         globl = init_model(tiny_config(context_mode="global"), 4, tiny_map())
@@ -495,6 +507,63 @@ class TestSerialization:
         assert hashlib.sha256(buf.getvalue()).hexdigest() == (
             "cd6c8f729e58366c3fd4aee280597421198fa96e21051017f407bec99e38897c"
         )
+
+
+@st.composite
+def small_configs(draw):
+    """A valid TrainConfig whose every field is drawn, with arrays small enough to build a model of."""
+    small, stored = st.integers(1, 4), st.integers(-MAX_STORED_INT, MAX_STORED_INT)
+    epochs = st.integers(1, MAX_STORED_INT)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    quantiles = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    q_low, q_star, q_high = sorted(draw(st.lists(quantiles, min_size=3, max_size=3, unique=True)))
+    return TrainConfig(
+        epochs=draw(epochs),
+        batch_schedule=draw(st.dictionaries(epochs, epochs, min_size=1, max_size=3)),
+        lr_schedule=draw(st.dictionaries(epochs, positive, min_size=1, max_size=3)),
+        q_star=q_star, q_low=q_low, q_high=q_high,
+        gamma=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        window=draw(st.integers(2, 12)), horizon=draw(small), period=draw(st.integers(1, 6)),
+        dilations=tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))),
+        context_size=draw(small), context_batch=draw(st.integers(1, 3)), contexts_per_target=draw(epochs),
+        state_width=draw(small), hidden_width=draw(small), conv_channels=draw(small), conv_kernel=draw(small),
+        stride=draw(epochs), steps_per_update=draw(epochs), maxlag=draw(stored),
+        seed=draw(st.integers(0, MAX_STORED_INT)), ensemble=draw(stored), context_mode=draw(st.sampled_from(CONTEXT_MODES)),
+    )
+
+
+def written(value) -> str:
+    """A field value as config text writes it."""
+    if isinstance(value, dict):
+        return ",".join(f"{k}:{v!r}" for k, v in value.items())
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
+
+
+def exactly(cfg) -> str:
+    """Every field's value with its type, schedules in epoch order: equal only for configs that match bit for bit."""
+    return repr({name: sorted(v.items()) if isinstance(v, dict) else v for name, v in vars(cfg).items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs())
+def test_config_round_trips_through_every_form(cfg):
+    text = "".join(f"{name} = {written(value)}\n" for name, value in vars(cfg).items())
+    from_text = load_config(io.StringIO(text))
+    assert from_text == cfg and exactly(from_text) == exactly(cfg)
+
+    for name, value in vars(cfg).items():
+        (got,) = parse_overrides([f"{name}={written(value)}"]).values()
+        assert got == value and exactly(cfg.with_overrides(**{name: got})) == exactly(cfg), name
+
+    K = cfg.context_batch
+    cmap = ContextMap({i: ((i + 1) % (K + 1),) for i in range(K + 1)}, tuple(range(K)), S=1, K=K)
+    buf = io.BytesIO()
+    save_model(init_model(cfg, K + 1, cmap), buf)
+    loaded = load_model(io.BytesIO(buf.getvalue()))
+    assert loaded.config == cfg and exactly(loaded.config) == exactly(cfg)
+    assert loaded.n_series == K + 1 and loaded.global_batch == (() if cfg.context_mode == "none" else tuple(range(K)))
 
 
 def field_ends(data):

@@ -3,9 +3,11 @@
 ``perfbench/tracing.py`` swaps each ``module:attribute`` of its ``WRAPPED``
 list for a timed wrapper; a name that no longer resolves makes every
 traced benchmark run fail, and one the sweep or the selection stopped
-calling reads zero.
+calling reads zero. Its ``TAPE_OPS`` table names the tape ops it counts
+one by one; a name no primitive records would read zero too.
 """
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -36,6 +38,24 @@ def test_wrapped_name_resolves(target):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def recorded_ops() -> set:
+    """The op names ``tape.py`` records: the first argument of each ``_emit`` call, and the op of each ``Node`` it makes."""
+    ops = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "contextrnn" / "tape.py").read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("_emit", "Node"):
+            op = node.args[0 if node.func.id == "_emit" else 1]
+            if isinstance(op, ast.Constant):
+                ops.add(op.value)
+    return ops
+
+
+def test_every_counted_op_is_recorded():
+    ops = recorded_ops()
+    assert {"leaf", "add", "conv1d_pointwise"} <= ops  # the scan finds leaves and primitives
+    missing = [op for op in tracing.TAPE_OPS if op not in ops]
+    assert not missing, f"tracing.TAPE_OPS names ops no tape primitive records: {missing}"
 
 
 def test_sweep_calls_every_wrapped_model_function(tmp_path):
