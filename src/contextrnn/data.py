@@ -166,9 +166,13 @@ def load_panel(path) -> SeriesPanel:
 
 
 def _row_values(cells, t: int) -> np.ndarray:
-    """One row's cells as floats, NaN where a cell is blank; Python's ``float`` rules in one numpy call."""
+    """One row's cells as floats, NaN where a cell is blank; Python's ``float`` rules in one numpy call.
+
+    Only a row holding an empty cell is copied to spell it "nan"; a cell of
+    blanks, or one that is not a number, leaves it to the loop below.
+    """
     try:
-        values = np.array([cell if cell.strip() else "nan" for cell in cells], dtype=np.float64)
+        values = np.array([cell or "nan" for cell in cells] if "" in cells else cells, dtype=np.float64)
     except ValueError:
         pass  # the loop below names the cell
     else:

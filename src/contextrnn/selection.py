@@ -1,19 +1,19 @@
-"""Data-driven context-series selection.
+"""Data-driven context-series selection, on numpy alone.
 
 Three relevance matrices (Pearson correlation, correlation spanning tree,
 histogram mutual information) are min-max normalized and averaged; the top
 ceil(1.5·S) candidates per target then go through pairwise Granger F-tests,
-and the S lowest p-values win. This keeps the number of Granger tests at
-N·ceil(1.5·S) instead of N².
+and the S lowest p-values win: N·ceil(1.5·S) Granger tests instead of N².
 
 All estimators use pairwise-complete observations and fixed tie rules, so
 the whole pipeline is deterministic given the panel. Pearson and MI score
 every pair with array arithmetic, at O(n²·T) cost in BLAS products and
 ``bincount`` rather than one Python call per pair: Pearson as masked
-matrix products, MI by counting equal-width bin codes, one ``bincount`` per
-tile of partners, a tile small enough that its cells and counts stay in
-cache. The spanning tree is built from the Pearson matrix, so a selection
-computes Pearson once.
+matrix products, MI by counting ``uint8`` equal-width bin codes, one
+``bincount`` per tile of partners, a tile small enough that its cells and
+counts stay in cache. Joint-cell counts, joint extremes and the Pearson
+matrix (which the spanning tree is built from) are each computed once.
+Beside the panel and n×n matrices, no step holds more than two n×T floats.
 
 What does not depend on the partner is computed once, and a per-pair
 correction costs the cells the partner misses, not the cells the pair
@@ -21,8 +21,8 @@ holds. Only a pair whose partner misses cells searches for its extremes,
 among the first few ranked cells of the series; the MI marginal
 histograms and Granger's joint runs start from missed cells; and a
 candidate's lag Gram is built once per joint run, whichever targets
-test it. A target's Granger fits are solved as one stack. The shortlist
-is one stable ``argsort`` of the aggregated weights.
+test it. A target's Granger fits are solved as one stack, and a continued
+fraction turns F statistics into p-values; the shortlist is one ``argsort``.
 """
 
 from __future__ import annotations
@@ -106,14 +106,15 @@ class GrangerResult:
     tests_performed: int
 
 
-def _joint_counts(panel: SeriesPanel, least: int) -> np.ndarray:
-    """Cells observed by both series, per pair, as an n×n float matrix.
+def _joint_counts(panel: SeriesPanel, least: int, counts=None) -> np.ndarray:
+    """Cells observed by both series, per pair, as an n×n float matrix, computed if ``counts`` is not given.
 
     Raises DataError naming the first pair (i, j >= i), in row order, that
     shares fewer than ``least`` cells.
     """
-    observed = panel.mask.astype(np.float64)
-    counts = observed @ observed.T
+    if counts is None:
+        observed = panel.mask.astype(np.float64)
+        counts = observed @ observed.T
     short = np.argwhere(np.triu(counts < least))
     if short.size:
         i, j = short[0]
@@ -185,21 +186,21 @@ def _varies(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return varies & varies.T
 
 
-def pearson_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
+def pearson_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix:
     """Pairwise-complete Pearson coefficients; a series constant on a pair's joint cells scores 0.
 
     Every pair at once, as masked matrix products: each series is centred
     on its own observed mean and zeroed where missing, which keeps the
     one-pass sums within rounding of centring on each pair's joint mean.
-    ``extremes`` is the panel's ``_joint_extremes``, computed here if not given.
+    ``extremes`` and ``counts`` are the panel's ``_joint_extremes`` and ``_joint_counts``, computed if not given.
     """
-    counts = _joint_counts(panel, MIN_PAIR_OBS_CORR)
+    counts = _joint_counts(panel, MIN_PAIR_OBS_CORR, counts)
     observed = panel.mask.astype(np.float64)
-    values = np.where(panel.mask, panel.values, 0.0)
-    centred = np.where(panel.mask, values - (values.sum(axis=1) / observed.sum(axis=1))[:, None], 0.0)
+    centred = np.where(panel.mask, panel.values, 0.0)
+    np.subtract(centred, (centred.sum(axis=1) / observed.sum(axis=1))[:, None], out=centred, where=panel.mask)
     sums = centred @ observed.T  # sums[i, j]: series i summed over the cells j observes too
     cov = centred @ centred.T - sums * sums.T / counts
-    var = np.maximum((centred * centred) @ observed.T - sums * sums / counts, 0.0)
+    var = np.maximum(np.square(centred, out=centred) @ observed.T - sums * sums / counts, 0.0)
     denom = np.sqrt(var * var.T)
     weights = np.zeros((panel.n, panel.n))
     varies = _varies(*(extremes or _joint_extremes(panel)))
@@ -255,13 +256,13 @@ def _bin_codes(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: np.ndar
     the right: the rule of ``np.histogram2d``. Values outside [lo, hi] land
     in the end bins; a row with lo == hi puts every value in bin 0.
     """
-    step = (hi - lo) / bins
+    step, spread = (hi - lo) / bins, hi > lo
     stride = int(bins.max()) + 1
-    edges = (np.arange(stride) * step[:, None] + lo[:, None]).ravel()  # linspace's arithmetic, row by row
-    spread = step > 0.0
+    k = np.arange(stride)  # linspace's arithmetic, row by row: k·step, or (k / bins)·(hi - lo) if the step underflows to 0
+    edges = (np.where(step[:, None] > 0.0, k * step[:, None], k / bins[:, None] * (hi - lo)[:, None]) + lo[:, None]).ravel()
     top = np.where(spread, bins - 1, 0)
     guess = values - lo[:, None]
-    guess /= np.where(spread, step, 1.0)[:, None]
+    guess /= np.where(step > 0.0, step, 1.0)[:, None]
     codes = np.clip(np.floor(guess, out=guess), 0, top[:, None], out=guess).astype(np.intp)
 
     def moves(code, row, value):
@@ -288,7 +289,7 @@ def _bin_codes(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: np.ndar
     return codes
 
 
-def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
+def mi_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix:
     """Equal-width-histogram mutual information in nats, pairwise complete.
 
     A pair of N joint cells is binned as ``np.histogram2d`` bins it: on
@@ -296,32 +297,39 @@ def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
     64 per marginal. A series constant on the joint cells has zero entropy
     and scores 0.
 
-    Each series is binned once on its own range; a pair whose joint cells
-    lose that series' minimum or maximum, or change the bin count, bins it
-    anew. Row i counts its pairs (i, j >= i) in tiles of partners, one
-    offset ``bincount`` per tile, a tile holding ``TILE_COUNTS`` counts at
-    most so that its cells and counts stay in cache. A tile adds the row's
-    codes to its partners', counts them, a cell that either series misses
-    past the tile's last pair and cut off, and sums Σ c log c over each
-    joint table; re-binning and missed cells touch only the tiles where
-    they occur. The entropy form
+    Each series is binned once on its own range, into ``uint8`` codes; a
+    pair whose joint cells lose that series' minimum or maximum, or change
+    the bin count, bins it anew. Row i counts its pairs (i, j >= i) in
+    tiles of partners, one offset ``bincount`` per tile, a tile holding
+    ``TILE_COUNTS`` counts at most so that its cells and counts stay in
+    cache. A tile adds the row's codes to its partners', counts them, a
+    cell that either series misses past the tile's last pair and cut off,
+    and sums Σ c log c over each joint table; re-binning and missed cells
+    touch only the tiles where they occur. The entropy form
     MI = (Σ c_xy log c_xy - Σ c_x log c_x - Σ c_y log c_y) / N + log N
     then runs once over the n×n sums.
     A marginal term Σ c log c of a pair that bins a series as it is binned
     alone comes from the series' own histogram, less the histogram of its
     codes on the cells the partner misses: one offset ``bincount`` per
     partner that misses cells of such a series. Only a pair that bins a
-    series anew sums its joint table for that marginal. ``extremes`` is the panel's
-    ``_joint_extremes``, computed here if not given.
+    series anew sums its joint table for that marginal. ``extremes`` and
+    ``counts`` are the panel's ``_joint_extremes`` and ``_joint_counts``, computed if not given.
     """
     n, T = panel.n, panel.T
-    counts = _joint_counts(panel, MIN_PAIR_OBS_MI).astype(np.intp)
+    counts = _joint_counts(panel, MIN_PAIR_OBS_MI, counts).astype(np.intp)
     lo, hi = extremes or _joint_extremes(panel)
     varies = _varies(lo, hi)
     bins = _bin_count(counts)
     own_lo, own_hi, own_bins = lo.diagonal(), hi.diagonal(), bins.diagonal()
-    values = np.where(panel.mask, panel.values, own_lo[:, None])
-    codes = _bin_codes(values, own_lo, own_hi, own_bins)
+    step = max(1, TILE_COUNTS // T)  # rows per block of binning or histograms, so a block's temporaries stay small
+
+    def binned(rows, lo, hi, bins):
+        """``_bin_codes`` of series ``rows`` as uint8, one binning per row, a missed cell in bin 0."""
+        blocks = [slice(s, s + step) for s in range(0, len(rows), step)]
+        return np.concatenate([_bin_codes(np.where(panel.mask[rows[at]], panel.values[rows[at]], lo[at, None]),
+                                          lo[at], hi[at], bins[at]).astype(np.uint8) for at in blocks])
+
+    codes = binned(np.arange(n), own_lo, own_hi, own_bins)
     # own[i, j]: pair (i, j) bins series i as series i alone is binned
     own = (lo == own_lo[:, None]) & (hi == own_hi[:, None]) & (bins == own_bins[:, None])
     width = int(bins.max())
@@ -334,7 +342,7 @@ def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
         at = np.where(panel.mask[:, cells][rows], codes[:, cells][rows] + (np.arange(k) * width)[:, None], k * width)
         return np.bincount(at.ravel(), minlength=(k + 1) * width)[: k * width].reshape(k, width)
 
-    own_hist = histograms(np.arange(n), slice(None))
+    own_hist = np.concatenate([histograms(np.arange(s, min(s + step, n)), slice(None)) for s in range(0, n, step)])
     # terms[i, j]: Σ c log c of series i's marginal in pair (i, j): of its own codes on the cells series j
     # observes too where own[i, j], else summed from the pair's joint table in the tiles below;
     # trim[i, j]: j misses some of series i's cells, whose codes come off i's own histogram
@@ -349,7 +357,6 @@ def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
     block = width * width
     tile = max(1, min(n, TILE_COUNTS // block))  # partners per tile
     slot = (np.arange(n) - n) % tile
-    y_cells = codes + (slot * block)[:, None]
     # missed_at[missed_from[j] : missed_from[j + 1]]: the flat positions, in a tile, of the cells series j misses
     missed_rows, missed_cells = np.nonzero(~panel.mask)
     missed_at = slot[missed_rows] * T + missed_cells
@@ -358,26 +365,24 @@ def mi_matrix(panel: SeriesPanel, extremes=None) -> AdjacencyMatrix:
     buffer = np.empty((tile, T), dtype=np.intp)
     for i in range(n):
         # x_redo: the partners whose pair bins series i anew; y_redo: the partners the pair bins anew
-        x_redo = np.flatnonzero(~own[i, i:]) + i
-        if x_redo.size:
-            x = _bin_codes(np.broadcast_to(values[i], (x_redo.size, T)), lo[i, x_redo], hi[i, x_redo], bins[i, x_redo])
-            x_moves = (x - codes[i]) * width
-        y_redo = np.flatnonzero(~own[i:, i]) + i
-        if y_redo.size:
-            y_moves = _bin_codes(values[y_redo], lo[y_redo, i], hi[y_redo, i], bins[i, y_redo]) - codes[y_redo]
+        x_redo, y_redo = np.flatnonzero(~own[i, i:]) + i, np.flatnonzero(~own[i:, i]) + i
+        x = binned(np.full(x_redo.size, i), lo[i, x_redo], hi[i, x_redo], bins[i, x_redo]) if x_redo.size else None
+        y = binned(y_redo, lo[y_redo, i], hi[y_redo, i], bins[i, y_redo]) if y_redo.size else None
         row_missed = np.flatnonzero(~panel.mask[i])
         row_missed_at = (np.arange(tile)[:, None] * T + row_missed).ravel()  # in every slot of a tile, slot by slot
-        x_cells = codes[i] * width
+        x_cells = codes[i] * np.intp(width) + (np.arange(tile) * block)[:, None]  # row i's part of each slot's cells
         for j1 in range(n, i, -tile):
             j0 = max(i, j1 - tile)
             first = j0 - (j1 - tile)  # the slot of partner j0
-            cells = np.add(y_cells[j0:j1], x_cells, out=buffer[first:])
+            cells = buffer[first:]
+            np.copyto(cells, codes[j0:j1])  # widened in place: an add of mixed types would cast in slower chunks
+            cells += x_cells[first:]
             if x_redo.size:
                 x_at = slice(*np.searchsorted(x_redo, (j0, j1)))
-                cells[x_redo[x_at] - j0] += x_moves[x_at]
+                cells[x_redo[x_at] - j0] += np.subtract(x[x_at], codes[i], dtype=np.intp) * width
             if y_redo.size:
                 y_at = slice(*np.searchsorted(y_redo, (j0, j1)))
-                cells[y_redo[y_at] - j0] += y_moves[y_at]
+                cells[y_redo[y_at] - j0] += np.subtract(y[y_at], codes[y_redo[y_at]], dtype=np.intp)
             # cells either series misses, written after the adjustments above, which could move them into a slot
             if missed_from[j0] < missed_from[j1]:
                 np.put(buffer, missed_at[missed_from[j0] : missed_from[j1]], tile * block)
@@ -519,6 +524,50 @@ def _augmented_normal(rows: np.ndarray, cross: np.ndarray, lags: np.ndarray, lag
     out[k:, -1] = with_lags[k]
 
 
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b), a >= b; past a = 64, lgamma(a) - lgamma(a + b) comes from Stirling's series, keeping its digits."""
+    if a < 64:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    tail = [(1 / 12 - (1 / 360 - 1 / (1260 * z * z)) / (z * z)) / z for z in (a, a + b)]  # Stirling's 1/z terms
+    return math.lgamma(b) - (a - 0.5) * math.log1p(b / a) - b * math.log(a + b) + b + tail[0] - tail[1]
+
+
+def _f_survival(f_stat: np.ndarray, dof: np.ndarray, maxlag: int, steps: int = 1000) -> np.ndarray:
+    """P(F > f) under F(maxlag, dof): the regularized incomplete beta I_x(dof/2, maxlag/2), x = dof/(dof + maxlag·f).
+
+    An entry whose x lies above the beta mean takes 1 - I_(1-x)(b, a), so that the continued fraction BFRAC
+    of DiDonato & Morris's Algorithm 708 (ACM TOMS, 1992) converges in few steps, fewest near F = 1. Entries
+    not yet converged step together, at most ``steps`` times.
+    """
+    x0 = dof / (dof + maxlag * f_stat)
+    a0, b0, y0 = dof / 2.0, maxlag / 2.0, 1.0 - x0
+    distinct, inverse = np.unique(dof, return_inverse=True)
+    log_beta = np.array([_log_beta(d / 2.0, b0) for d in distinct.tolist()])[inverse]
+    with np.errstate(divide="ignore"):
+        front = a0 * np.log(x0) + b0 * np.log(y0) - log_beta  # log of x^a y^b / B(a, b)
+    flip = (a0 + b0) * y0 < b0
+    a, b, x, y = np.where(flip, b0, a0), np.where(flip, a0, b0), np.where(flip, y0, x0), np.where(flip, x0, y0)
+    lam, frac, at = (a + b) * y - b, np.empty_like(x), np.arange(x.size)
+    an, bn = np.zeros_like(x), (1.0 + 1.0 / a) / (1.0 + lam)
+    r = bn
+    for step in range(1, steps + 1):  # BFRAC's recurrence, rescaled each step so that the last denominator is 1
+        t, s, w = step / a, a + (2 * step - 1), step * (b - step) * x
+        alpha = (1.0 + t - 1.0 / a) * (1.0 + t + (b - 1.0) / a) * (a / s) ** 2 * (w * x)
+        beta = step + w / s + (1.0 + t) / (1.0 + 1.0 / a + 2.0 * t) * (1.0 + lam + step * (y + 1.0))
+        den = alpha * bn + beta
+        last, r = r, (alpha * an + beta * r) / den
+        an, bn = last / den, 1.0 / den
+        done = np.abs(r - last) <= 1e-15 * r
+        frac[at[done]] = r[done]
+        if done.all():
+            break
+        at, a, b, x, y, lam, an, bn, r = (v[~done] for v in (at, a, b, x, y, lam, an, bn, r))
+    else:
+        raise DataError(f"F-test p-value did not converge in {steps} steps (maxlag={maxlag})")
+    p = np.exp(front + np.log(frac))
+    return np.where(flip, 1.0 - p, p)
+
+
 def granger_rank(
     panel: SeriesPanel,
     candidates: dict[int, tuple[int, ...]],
@@ -541,12 +590,8 @@ def granger_rank(
     Each series is first scaled by a power of two that brings a magnitude
     beyond 2**±SCALE_EXPONENT to about 1, which keeps the Grams finite and
     changes no F statistic; ordinary series keep a scale of exactly 1. One
-    ``betainc`` call turns every F statistic into its p-value.
+    ``_f_survival`` call turns every F statistic into its p-value.
     """
-    # scipy is imported here, not at the top, so that no command but
-    # select-context pays for loading it
-    from scipy import special
-
     if maxlag < 1:
         raise DataError(f"Granger tests need maxlag >= 1, got {maxlag}")
     n, T = panel.n, panel.T
@@ -591,12 +636,9 @@ def granger_rank(
         rss_r, rss_a = np.array(rss).T
         # a perfect augmented fit scores 0 if it improves on the own lags
         p = np.where((rss_a <= 0.0) & (rss_r > rss_a), 0.0, 1.0)
-        fitted = rss_a > 0.0
-        f_stat = np.zeros_like(p)
-        f_stat[fitted] = ((rss_r[fitted] - rss_a[fitted]) / maxlag) / (rss_a[fitted] / dof[fitted])
-        # survival function of F(maxlag, dof) via the regularized incomplete beta
+        f_stat = np.divide((rss_r - rss_a) / maxlag, rss_a / dof, out=np.zeros_like(p), where=rss_a > 0.0)
         live = f_stat > 0.0
-        p[live] = special.betainc(dof[live] / 2.0, maxlag / 2.0, dof[live] / (dof[live] + maxlag * f_stat[live]))
+        p[live] = _f_survival(f_stat[live], dof[live], maxlag)
         p_values[targets, cands] = p
     weights = aggregated.weights if aggregated is not None else np.zeros((n, n))
     per_target = {
@@ -635,19 +677,16 @@ def build_context_map(
     if K > panel.n:
         raise DataError("context batch cannot exceed the series count")
 
-    extremes = _joint_extremes(panel)  # one ranking of each series serves Pearson and MI
-    corr = pearson_matrix(panel, extremes)
+    extremes, counts = _joint_extremes(panel), _joint_counts(panel, MIN_PAIR_OBS_CORR)  # for Pearson and MI both
+    corr = pearson_matrix(panel, extremes, counts)
     abs_corr = AdjacencyMatrix(corr.n, np.abs(corr.weights), "CM")
-    agg = aggregate([abs_corr, cst_matrix(corr), mi_matrix(panel, extremes)])
+    agg = aggregate([abs_corr, cst_matrix(corr), mi_matrix(panel, extremes, counts)])
     candidates = shortlist(agg, S)
     granger = granger_rank(panel, candidates, maxlag, S, agg)
 
-    counts = np.zeros(panel.n)
-    for ids in granger.per_target.values():
-        for i in ids:
-            counts[i] += 1
+    picks = np.bincount([i for ids in granger.per_target.values() for i in ids], minlength=panel.n)
     totals = agg.weights.sum(axis=0)
-    order = sorted(range(panel.n), key=lambda i: (-counts[i], -totals[i], i))
+    order = sorted(range(panel.n), key=lambda i: (-picks[i], -totals[i], i))
     return ContextMap(granger.per_target, tuple(order[:K]), S, K)
 
 

@@ -27,7 +27,14 @@ from contextrnn.selection import (
     shortlist,
     write_context_map,
 )
-from contextrnn.selection import _bin_codes, _bin_count, _joint_counts, _joint_extremes, _longest_joint_runs
+from contextrnn.selection import (
+    _bin_codes,
+    _bin_count,
+    _f_survival,
+    _joint_counts,
+    _joint_extremes,
+    _longest_joint_runs,
+)
 
 
 def make_panel(values, mask=None):
@@ -557,6 +564,7 @@ class TestBinCodes:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3), st.integers(8, 64)), min_size=2, max_size=6))
     @example([(1000.0, 5e-13, 64), (-3.0, 7.0, 9)])  # steps far below an ulp of lo: guesses many bins off
+    @example([(0.0, 0.0, 8), (0.0, 5e-324, 8)])  # a step that underflows to 0: linspace repeats edges
     def test_rows_binned_their_own_way(self, rows):
         # each row has its own edges, bin count and stride into the edge table; values lie on,
         # beside and beyond the edges, and a row with lo == hi puts everything in bin 0
@@ -746,6 +754,41 @@ class TestGranger:
         panel = make_panel(np.random.default_rng(0).uniform(1, 2, (2, 30)))
         with pytest.raises(DataError, match="too short"):
             granger_rank(panel, {0: (1,)}, maxlag=4, S=1)
+
+
+class TestFSurvival:
+    # the F-test p-value without scipy: scipy.special.betainc is the reference
+    MAXLAGS = range(1, 9)
+    DOFS = (11, 12, 13, 20, 31, 64, 99, 128, 129, 500, 1001, 1987, 2000, 5003, 9999, 10000, 19999, 20000)
+    F = np.logspace(-9, 3, 241)
+
+    def test_matches_scipy_betainc_on_a_grid(self):
+        special = pytest.importorskip("scipy.special")
+        for maxlag, dof in itertools.product(self.MAXLAGS, self.DOFS):
+            d = np.full(self.F.size, float(dof))
+            got = _f_survival(self.F, d, maxlag)
+            want = special.betainc(d / 2.0, maxlag / 2.0, d / (d + maxlag * self.F))
+            where = f"maxlag={maxlag}, dof={dof}"
+            normal = want >= 1e-290
+            np.testing.assert_allclose(got[normal], want[normal], rtol=1e-10, atol=0.0, err_msg=where)
+            np.testing.assert_array_equal(got == 1.0, want == 1.0, err_msg=where)
+            # both are 0 where scipy is, except where scipy underflows early: it gives 0 from about
+            # 1e-311 down on some grid lines, while this keeps every subnormal p-value
+            assert np.all(want[got == 0.0] == 0.0), where
+            assert np.all(got[want == 0.0] < np.finfo(np.float64).tiny), where
+
+    def test_mixed_dofs_in_one_call(self):
+        # each entry takes its own log-beta and side of the mean, and converges on its own
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(4)
+        dof = rng.choice(self.DOFS, 500).astype(np.float64)
+        f = np.exp(rng.uniform(-5, 5, 500))
+        want = special.betainc(dof / 2.0, 1.5, dof / (dof + 3 * f))
+        np.testing.assert_allclose(_f_survival(f, dof, 3), want, rtol=1e-10, atol=0.0)
+
+    def test_step_cap_raises(self):
+        with pytest.raises(DataError, match="did not converge in 2 steps"):
+            _f_survival(np.array([1.0]), np.array([2000.0]), 1, steps=2)
 
 
 def brute_force_run(both):
@@ -990,17 +1033,16 @@ class TestSelectionMemory:
         for i in rng.choice(n, 40, replace=False):
             mask[i, rng.choice(T, 20, replace=False)] = False
         panel = make_panel(values, mask)
-        import scipy.special  # noqa: F401  (loaded before tracing: the first Granger call imports it)
-
         tracemalloc.start()
         try:
             build_context_map(panel, S=5, K=15)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # MI counting each row in one n-wide buffer peaked at 21.2 MiB here; in cache-sized
-        # tiles of partners it peaks at 18.3 MiB. The bound lies between the two.
-        assert peak < 20 * 2**20
+        # MI counting each row in one n-wide buffer peaked at 21.2 MiB here, and at 18.3 MiB in
+        # cache-sized tiles of partners with n×T intp codes and cells. With uint8 codes, blocks of
+        # rows and Pearson squaring in place, the peak is 8.66 MiB; the bound adds about 10%.
+        assert peak < 9.5 * 2**20
 
 
 class TestScaleInvariance:
