@@ -746,6 +746,10 @@ def ensemble_predict(members, panel: SeriesPanel, anchor: int, series=None):
     """Mean of member medians; envelope (min lower, max upper) for the bounds."""
     if not members:
         raise ValueError("ensemble needs at least one member")
+    horizon = members[0].config.horizon
+    for m in members[1:]:
+        if m.config.horizon != horizon:
+            raise DataError(f"ensemble members forecast different horizons: {horizon} and {m.config.horizon}")
     per_member = [predict(m, panel, anchor, series) for m in members]
     out = {}
     for sid in per_member[0]:

@@ -13,12 +13,13 @@ matrix products, MI by counting ``uint8`` equal-width bin codes, one
 ``bincount`` per tile of partners, a tile small enough that its cells and
 counts stay in cache. Joint-cell counts, joint extremes and the Pearson
 matrix (which the spanning tree is built from) are each computed once.
-Beside the panel and n×n matrices, no step holds more than two n×T floats.
+Beside the panel and n×n matrices, no step holds more than two n×T arrays
+of 8-byte numbers.
 
 What does not depend on the partner is computed once, and a per-pair
 correction costs the cells the partner misses, not the cells the pair
 holds. Only a pair whose partner misses cells searches for its extremes,
-among the first few ranked cells of the series; the MI marginal
+among the series' 8 least and 8 greatest values; the MI marginal
 histograms and Granger's joint runs start from missed cells; and a
 candidate's lag Gram is built once per joint run, whichever targets
 test it. A target's Granger fits are solved as one stack, and a continued
@@ -64,6 +65,9 @@ SCALE_EXPONENT = 100
 
 MIN_PAIR_OBS_CORR = 3
 MIN_PAIR_OBS_MI = 32
+
+#: continued-fraction steps after which an F-test p-value that has not converged raises
+FRACTION_STEPS = 1000
 
 #: joint-histogram counts per MI tile: 2**15 int64 counts are 256 KiB, so a tile's cells and counts stay in cache
 TILE_COUNTS = 1 << 15
@@ -122,61 +126,37 @@ def _joint_counts(panel: SeriesPanel, least: int, counts=None) -> np.ndarray:
     return counts
 
 
-def _first_shared(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """For every series, the position in ``cells`` of the first cell it observes.
-
-    Scans ``cells`` in blocks that grow fourfold, so a series that observes
-    one of the first cells costs one short block. A series observing none
-    of them gets 0.
-    """
-    first = np.zeros(mask.shape[0], dtype=np.intp)
-    todo = np.arange(mask.shape[0])
-    start, size = 0, 8
-    while todo.size and start < cells.size:
-        block = mask[todo[:, None], cells[start : start + size]]
-        hit = block.any(axis=1)
-        first[todo[hit]] = start + block[hit].argmax(axis=1)
-        todo = todo[~hit]
-        start, size = start + size, 4 * size
-    return first
-
-
 def _joint_extremes(panel: SeriesPanel):
     """lo[i, j] and hi[i, j]: the least and greatest value of series i on the cells j observes too.
 
-    In series i's cells ranked by value, the first that j observes, from
-    either end, holds the joint minimum or maximum; a partner that misses
-    no cell observes the first. Each series ranks its first 8 cells, and
-    every partner that misses cells searches them at once. A series with
-    a partner that misses all 8 is ranked in full, and those partners
-    search on with ``_first_shared``. The entries of a pair without a
-    joint cell mean nothing, so read them only after ``_joint_counts`` has
-    passed.
+    A pair's extreme is a value, so it is the least key of series i (its
+    values, or their negatives for hi, with +inf in missed cells) on the
+    cells j observes. Each series sorts its 8 least keys; a partner that
+    misses no cell takes the first, one that misses cells the first it
+    observes, and one that observes none of the 8 takes the least key on
+    its own cells. The entries of a pair without a joint cell mean nothing,
+    so read them only after ``_joint_counts`` has passed.
     """
-    n, T = panel.n, panel.T
-    every, gapped = np.arange(n), np.flatnonzero(~panel.mask.all(axis=1))
-    rows, partners = np.repeat(every, gapped.size), np.tile(gapped, n)  # the pairs whose partner misses cells
-    depth = min(8, T)
+    n, depth = panel.n, min(8, panel.T)
+    gapped = np.flatnonzero(~panel.mask.all(axis=1))
+    rows, partners = np.repeat(np.arange(n), gapped.size), np.tile(gapped, n)  # the pairs whose partner misses cells
+    keys = np.where(panel.mask, panel.values, np.inf)
     extremes = []
     for sign in (1, -1):
-        # hi ranks the cells backwards, so equal values rank from the right, as a stable sort read backwards does
-        mask, values = panel.mask[:, ::sign], panel.values[:, ::sign]
-        keys = np.where(mask, values, sign * np.inf)
-        keys *= sign
-        # each row's first depth cells in a stable sort: its keys at or below the depth-th least,
-        # which np.nonzero lists in cell order and the stable np.lexsort keeps so among equals
-        at, cells = np.nonzero(keys <= np.partition(keys, depth - 1, axis=1)[:, depth - 1 : depth])
-        ranked = cells[np.lexsort((keys[at, cells], at))][np.searchsorted(at, every)[:, None] + np.arange(depth)]
-        first = np.repeat(ranked[:, :1], n, axis=1)  # first[i, j]: the cell of the pair's extreme
-        seen = mask[partners[:, None], ranked[rows]]
-        first[rows, partners] = ranked[rows, seen.argmax(axis=1)]
+        if sign < 0:
+            np.negative(keys, out=keys, where=panel.mask)
+        cells = np.argpartition(keys, depth - 1, axis=1)[:, :depth]
+        cells = np.take_along_axis(cells, np.take_along_axis(keys, cells, axis=1).argsort(axis=1), axis=1)
+        least = np.take_along_axis(keys, cells, axis=1)  # each series' depth least keys, ascending
+        joint = np.repeat(least[:, :1], n, axis=1)  # joint[i, j]: the least key of series i on the cells j observes
+        seen = panel.mask[partners[:, None], cells[rows]]
+        joint[rows, partners] = least[rows, seen.argmax(axis=1)]
         missed = ~seen.any(axis=1)
         i_missed, j_missed = rows[missed], partners[missed]
         for i in np.unique(i_missed):
             todo = j_missed[i_missed == i]
-            ranked_i = np.argsort(keys[i], kind="stable")
-            first[i, todo] = ranked_i[_first_shared(mask[todo], ranked_i)]
-        extremes.append(values[every[:, None], first])
+            joint[i, todo] = np.where(panel.mask[todo], keys[i], np.inf).min(axis=1)
+        extremes.append(sign * joint)
     return tuple(extremes)
 
 
@@ -302,8 +282,8 @@ def mi_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix
     the bin count, bins it anew. Row i counts its pairs (i, j >= i) in
     tiles of partners, one offset ``bincount`` per tile, a tile holding
     ``TILE_COUNTS`` counts at most so that its cells and counts stay in
-    cache. A tile adds the row's codes to its partners', counts them, a
-    cell that either series misses past the tile's last pair and cut off,
+    cache. A tile adds the row's codes to its partners', counts them (a
+    cell either series misses lands past the tile's last pair, cut off)
     and sums Σ c log c over each joint table; re-binning and missed cells
     touch only the tiles where they occur. The entropy form
     MI = (Σ c_xy log c_xy - Σ c_x log c_x - Σ c_y log c_y) / N + log N
@@ -368,9 +348,9 @@ def mi_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix
         x_redo, y_redo = np.flatnonzero(~own[i, i:]) + i, np.flatnonzero(~own[i:, i]) + i
         x = binned(np.full(x_redo.size, i), lo[i, x_redo], hi[i, x_redo], bins[i, x_redo]) if x_redo.size else None
         y = binned(y_redo, lo[y_redo, i], hi[y_redo, i], bins[i, y_redo]) if y_redo.size else None
-        row_missed = np.flatnonzero(~panel.mask[i])
-        row_missed_at = (np.arange(tile)[:, None] * T + row_missed).ravel()  # in every slot of a tile, slot by slot
         x_cells = codes[i] * np.intp(width) + (np.arange(tile) * block)[:, None]  # row i's part of each slot's cells
+        # a cell row i misses goes a slot past the last, beyond the adjustments below, which move less than a slot
+        x_cells[:, ~panel.mask[i]] = (tile + 1) * block
         for j1 in range(n, i, -tile):
             j0 = max(i, j1 - tile)
             first = j0 - (j1 - tile)  # the slot of partner j0
@@ -383,11 +363,9 @@ def mi_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix
             if y_redo.size:
                 y_at = slice(*np.searchsorted(y_redo, (j0, j1)))
                 cells[y_redo[y_at] - j0] += np.subtract(y[y_at], codes[y_redo[y_at]], dtype=np.intp)
-            # cells either series misses, written after the adjustments above, which could move them into a slot
+            # cells the partner misses, written after the adjustments above, which could move them into a slot
             if missed_from[j0] < missed_from[j1]:
                 np.put(buffer, missed_at[missed_from[j0] : missed_from[j1]], tile * block)
-            if row_missed.size:
-                np.put(buffer, row_missed_at[first * row_missed.size :], tile * block)
             joint = np.bincount(cells.ravel(), minlength=(tile + 1) * block)[first * block : tile * block]
             joint = joint.reshape(j1 - j0, width, width)
             joint_terms[i, j0:j1] = np.take(clogc, joint).sum(axis=(1, 2))
@@ -532,12 +510,12 @@ def _log_beta(a: float, b: float) -> float:
     return math.lgamma(b) - (a - 0.5) * math.log1p(b / a) - b * math.log(a + b) + b + tail[0] - tail[1]
 
 
-def _f_survival(f_stat: np.ndarray, dof: np.ndarray, maxlag: int, steps: int = 1000) -> np.ndarray:
+def _f_survival(f_stat: np.ndarray, dof: np.ndarray, maxlag: int) -> np.ndarray:
     """P(F > f) under F(maxlag, dof): the regularized incomplete beta I_x(dof/2, maxlag/2), x = dof/(dof + maxlag·f).
 
     An entry whose x lies above the beta mean takes 1 - I_(1-x)(b, a), so that the continued fraction BFRAC
     of DiDonato & Morris's Algorithm 708 (ACM TOMS, 1992) converges in few steps, fewest near F = 1. Entries
-    not yet converged step together, at most ``steps`` times.
+    not yet converged step together, at most ``FRACTION_STEPS`` times.
     """
     x0 = dof / (dof + maxlag * f_stat)
     a0, b0, y0 = dof / 2.0, maxlag / 2.0, 1.0 - x0
@@ -550,7 +528,7 @@ def _f_survival(f_stat: np.ndarray, dof: np.ndarray, maxlag: int, steps: int = 1
     lam, frac, at = (a + b) * y - b, np.empty_like(x), np.arange(x.size)
     an, bn = np.zeros_like(x), (1.0 + 1.0 / a) / (1.0 + lam)
     r = bn
-    for step in range(1, steps + 1):  # BFRAC's recurrence, rescaled each step so that the last denominator is 1
+    for step in range(1, FRACTION_STEPS + 1):  # BFRAC's recurrence, rescaled each step so that the last denominator is 1
         t, s, w = step / a, a + (2 * step - 1), step * (b - step) * x
         alpha = (1.0 + t - 1.0 / a) * (1.0 + t + (b - 1.0) / a) * (a / s) ** 2 * (w * x)
         beta = step + w / s + (1.0 + t) / (1.0 + 1.0 / a + 2.0 * t) * (1.0 + lam + step * (y + 1.0))
@@ -563,7 +541,7 @@ def _f_survival(f_stat: np.ndarray, dof: np.ndarray, maxlag: int, steps: int = 1
             break
         at, a, b, x, y, lam, an, bn, r = (v[~done] for v in (at, a, b, x, y, lam, an, bn, r))
     else:
-        raise DataError(f"F-test p-value did not converge in {steps} steps (maxlag={maxlag})")
+        raise DataError(f"F-test p-value did not converge in {FRACTION_STEPS} steps (maxlag={maxlag})")
     p = np.exp(front + np.log(frac))
     return np.where(flip, 1.0 - p, p)
 

@@ -237,6 +237,7 @@ class TestModelMeetsItsPanel:
         assert run_cli(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("data error:"), err
+        return err[0]
 
     def three_series_panel(self, tmp_path):
         path = tmp_path / "three.csv"
@@ -247,6 +248,15 @@ class TestModelMeetsItsPanel:
         three = self.three_series_panel(tmp_path)
         self.assert_data_error(["predict", "--model", str(four_series_model), "--data", str(three),
                                 "--out", str(tmp_path / "f.csv")], capsys)
+
+    def test_predict_with_ensemble_members_of_different_horizons(self, workspace, four_series_model, tmp_path, capsys):
+        root, config, data = workspace
+        short = tmp_path / "short.bin"
+        assert run_cli(["train", "--data", str(data), "--map", str(root / "four.map"), "--config", str(config),
+                        "--set", "epochs=1", "--set", "horizon=2", "--out", str(short)]) == 0
+        err = self.assert_data_error(["predict", "--model", str(four_series_model), str(short), "--data", str(data),
+                                      "--out", str(tmp_path / "f.csv")], capsys)
+        assert "horizons: 4 and 2" in err
 
     def test_evaluate_on_a_panel_with_another_series_count(self, four_series_model, tmp_path, capsys):
         three = self.three_series_panel(tmp_path)

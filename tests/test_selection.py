@@ -417,18 +417,44 @@ class TestMutualInformationCounts:
             patch.setattr(selection, "TILE_COUNTS", tile_counts(panel, 2))
             assert_matches_reference(panel)
 
+    def test_missed_cell_of_a_row_binned_anew_lower(self):
+        # series 0 takes three adjacent doubles: binned alone (64 bins) its least value lands in bin 16, binned
+        # with series 1 (8 bins, its greatest value missed) in bin 4, so re-binning moves a cell down 12 bins.
+        # The cells series 0 misses, which series 1 observes, must still fall outside every pair's table.
+        a, ulp, T = 1e20, np.spacing(1e20), 4200
+        rng = np.random.default_rng(42)
+        x = a + ulp * rng.integers(0, 3, T)
+        mask = np.ones((2, T), dtype=bool)
+        mask[0, :100] = False
+        mask[1] = False
+        mask[1, :100] = True
+        mask[1, np.flatnonzero(x < a + 2 * ulp)[200:264]] = True
+        panel = make_panel([x, rng.normal(size=T)], mask)
+        weights = mi_matrix(panel).weights
+        assert weights[0, 1] > 0.01
+        np.testing.assert_allclose(weights, reference_mi(panel), rtol=0.0, atol=1e-12)
+
 
 def brute_force_extremes(panel):
-    """lo, hi by a stable sort of each pair's joint cells: of equal values, lo takes the first, hi the last."""
+    """lo, hi as the least and greatest of each pair's joint values."""
     n = panel.n
     lo, hi = np.full((n, n), np.nan), np.full((n, n), np.nan)
     for i in range(n):
         for j in range(n):
-            cells = np.flatnonzero(panel.mask[i] & panel.mask[j])
-            if cells.size:
-                ranked = cells[np.argsort(panel.values[i, cells], kind="stable")]
-                lo[i, j], hi[i, j] = panel.values[i, ranked[0]], panel.values[i, ranked[-1]]
+            joint = panel.values[i, panel.mask[i] & panel.mask[j]]
+            if joint.size:
+                lo[i, j], hi[i, j] = joint.min(), joint.max()
     return lo, hi
+
+
+def assert_extremes_match_brute_force(panel):
+    """On every pair with a joint cell, lo and hi equal the brute force's values (-0.0 equal to 0.0)."""
+    lo, hi = _joint_extremes(panel)
+    want_lo, want_hi = brute_force_extremes(panel)
+    joint = _joint_counts(panel, 0) > 0
+    np.testing.assert_array_equal(lo[joint], want_lo[joint])
+    np.testing.assert_array_equal(hi[joint], want_hi[joint])
+    return joint
 
 
 @st.composite
@@ -449,36 +475,38 @@ def extreme_panels(draw):
     return make_panel(values, mask)
 
 
+def zero_extremes_panel():
+    """Series whose least or greatest values are signed zeros, long enough for MI's 32 joint cells."""
+    rng = np.random.default_rng(40)
+    values = np.stack([rng.choice(choices, 48) for choices in ([-0.0, 0.0, 1.0, 2.0], [-2.0, -1.0, -0.0, 0.0],
+                                                               [-0.0, 0.0], [-1.0, -0.0, 0.0, 1.0])])
+    mask = rng.uniform(size=values.shape) >= 0.05
+    return make_panel(values, mask)
+
+
 class TestJointExtremes:
-    """Each series' first 8 ranked cells are searched at once; pairs past them search the series' full ranking."""
+    """Each series' 8 least keys are searched at once; a partner missing them takes the least on its own cells."""
 
     @settings(max_examples=150, deadline=None)
     @given(extreme_panels())
     def test_equals_stable_sort_of_joint_cells(self, panel):
-        lo, hi = _joint_extremes(panel)
-        want_lo, want_hi = brute_force_extremes(panel)
-        joint = _joint_counts(panel, 0) > 0
-        for got, want in ((lo, want_lo), (hi, want_hi)):
-            # bit for bit: of equal values the stable order's pick, so -0.0 and 0.0 stay apart
-            assert got[joint].tobytes() == want[joint].tobytes()
+        assert_extremes_match_brute_force(panel)
 
     def test_ties_at_the_prefix_boundary(self):
         # x's eight least values, the ranked prefix, are its five negative values and the zeros
         # of cells 0-2, tied with nine more zeros. A partner missing the negative values and
-        # cells 0-1 observes the prefix's last cell first, the -0.0 of cell 2; one missing
-        # cells 2-3 too observes none of the prefix and finds the -0.0 of cell 4 in the full ranking.
-        # -x[::-1] mirrors both for hi, whose stable pick is the rightmost zero: +0.0.
+        # cells 0-1 observes the prefix's last cell first; one missing cells 2-3 too observes
+        # none of the prefix and takes a zero from the rest. -x[::-1] mirrors both for hi.
         x = np.concatenate(([-0.0, 0.0, -0.0, 0.0, -0.0], [0.0] * 7, np.arange(-5.0, 0.0), np.arange(1.0, 14.0)))
         near, far, full = np.ones(30, dtype=bool), np.ones(30, dtype=bool), np.ones(30, dtype=bool)
         near[[0, 1, 12, 13, 14, 15, 16]] = False
         far[[0, 1, 2, 3, 12, 13, 14, 15, 16]] = False
         panel = make_panel([x, x, x, -x[::-1], x, x], [full, near, far, full, near[::-1], far[::-1]])
+        assert assert_extremes_match_brute_force(panel).all()
         lo, hi = _joint_extremes(panel)
-        want_lo, want_hi = brute_force_extremes(panel)
-        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
-        assert [math.copysign(1.0, v) for v in (lo[0, 1], lo[0, 2], hi[3, 4], hi[3, 5])] == [-1.0, -1.0, 1.0, 1.0]
+        assert lo[0, 1] == lo[0, 2] == hi[3, 4] == hi[3, 5] == 0.0
 
-    def test_pairs_past_the_prefix_search_the_full_ranking(self):
+    def test_partners_missing_the_prefix_take_the_least_on_their_cells(self):
         # two series observe one cell each, so as partners they miss every ranked cell of
         # most series, and as series their prefix holds cells they miss
         rng = np.random.default_rng(36)
@@ -487,13 +515,35 @@ class TestJointExtremes:
         for sparse, cell in ((4, 39), (7, 0)):
             mask[sparse] = False
             mask[sparse, cell] = True
+        assert not assert_extremes_match_brute_force(make_panel(values, mask)).all()
+
+    def test_late_starts_on_a_trend(self):
+        # rising series hold their least values first, so a partner that starts late misses
+        # every one of a series' 8 least cells: most pairs with a gapped partner take the fallback
+        rng = np.random.default_rng(41)
+        n, T = 12, 200
+        values = np.arange(T) * 0.5 + rng.normal(size=(n, T))
+        mask = np.ones((n, T), dtype=bool)
+        for i in range(0, n, 2):
+            mask[i, : 10 + 15 * i] = False
         panel = make_panel(values, mask)
+        least = np.argsort(np.where(mask, values, np.inf), axis=1)[:, :8]
+        past = ~mask[~mask.all(axis=1)][:, least].any(axis=2)  # past[j, i]: gapped partner j misses i's 8 least
+        assert past.mean() > 0.5
+        assert assert_extremes_match_brute_force(panel).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(extreme_panels())
+    @example(zero_extremes_panel())
+    def test_sign_of_a_zero_extreme_reaches_no_output(self, panel):
+        # of equal joint extremes, which is taken, -0.0 or 0.0, changes no bit of Pearson or MI
         lo, hi = _joint_extremes(panel)
-        want_lo, want_hi = brute_force_extremes(panel)
-        joint = _joint_counts(panel, 0) > 0
-        assert not joint.all()
-        np.testing.assert_array_equal(lo[joint], want_lo[joint])
-        np.testing.assert_array_equal(hi[joint], want_hi[joint])
+        flipped = tuple(np.where(e == 0.0, -e, e) for e in (lo, hi))
+        for estimator in (pearson_matrix, mi_matrix):
+            want = outcome(lambda p: estimator(p, (lo, hi)), panel)
+            got = outcome(lambda p: estimator(p, flipped), panel)
+            assert type(got) is type(want)
+            assert got == want if isinstance(want, str) else got.tobytes() == want.tobytes()
 
 
 class TestMutualInformationMarginals:
@@ -786,9 +836,10 @@ class TestFSurvival:
         want = special.betainc(dof / 2.0, 1.5, dof / (dof + 3 * f))
         np.testing.assert_allclose(_f_survival(f, dof, 3), want, rtol=1e-10, atol=0.0)
 
-    def test_step_cap_raises(self):
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(selection, "FRACTION_STEPS", 2)
         with pytest.raises(DataError, match="did not converge in 2 steps"):
-            _f_survival(np.array([1.0]), np.array([2000.0]), 1, steps=2)
+            _f_survival(np.array([1.0]), np.array([2000.0]), 1)
 
 
 def brute_force_run(both):
