@@ -16,7 +16,7 @@ Subpackages:
 
 from .config import TrainConfig, load_config
 from .data import SeriesPanel, SynthSpec, load_panel, split, synth_generate
-from .metrics import EvalReport, corr, evaluate, rse
+from .metrics import EvalReport, evaluate, rse
 from .model import (
     ModelParams,
     ensemble_predict,
@@ -55,6 +55,5 @@ __all__ = [
     "EvalReport",
     "evaluate",
     "rse",
-    "corr",
     "__version__",
 ]

@@ -2,9 +2,9 @@
 and synthetic coupled-series generation.
 
 All series data flows through :class:`SeriesPanel`, an immutable N×T value
-matrix with equally spaced timestamps and an observed-value mask. Panels
-holding non-positive values receive a recorded positivity shift at load
-time so the multiplicative decomposition and log preprocessing stay valid.
+matrix with equally spaced timestamps and an observed-value mask. A panel
+keeps its file's values; if any is non-positive, loading records the
+positivity shift the model adds for its multiplicative decomposition.
 
 Every reader and writer of the package takes a path or an open stream,
 through :func:`opened`.
@@ -52,11 +52,11 @@ class DataError(Exception):
 class SeriesPanel:
     """Immutable N×T value matrix with timestamps and observation mask."""
 
-    values: np.ndarray  # (n, T) float64, already positivity-shifted
+    values: np.ndarray  # (n, T) float64, as read; 0.0 where missing
     timestamps: tuple  # T datetimes, strictly increasing, equally spaced
     mask: np.ndarray  # (n, T) bool, True = observed
     frequency: dt.timedelta
-    shift: float = 0.0  # added to raw values at load; subtract to recover
+    shift: float = 0.0  # positivity shift: the model adds it to the values, and takes it off its forecasts
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=np.float64))
@@ -158,8 +158,8 @@ def load_panel(path) -> SeriesPanel:
 
     A blank, whitespace-only or ``nan`` cell marks a missing observation; a
     cell that is not a number, or parses to ±inf, is a DataError naming its
-    row and series. If any value is non-positive a global shift of
-    ``1 - min + eps`` is applied and recorded on the panel.
+    row and series. If any value is non-positive the panel records a
+    global shift of ``1 - min + eps``, and keeps its values as read.
     """
     with opened(path) as fh:
         return _read_panel(csv.reader(fh))
@@ -245,12 +245,8 @@ def _read_panel(reader) -> SeriesPanel:
     values = np.stack(rows, axis=1)
     mask = ~np.isnan(values)
     values[~mask] = 0.0
-    shift = 0.0
-    observed = values[mask]
-    if observed.size and observed.min() <= 0.0:
-        shift = 1.0 - float(observed.min()) + SHIFT_EPS
-        values += shift
-        values[~mask] = 0.0
+    least = values.min(where=mask, initial=math.inf)
+    shift = 1.0 - float(least) + SHIFT_EPS if least <= 0.0 else 0.0
     return SeriesPanel(values, timestamps, mask, freq, shift)
 
 
@@ -355,7 +351,7 @@ def write_panel_csv(panel: SeriesPanel, path):
         for t in range(panel.T):
             row = [panel.timestamps[t].isoformat()]
             for j in range(panel.n):
-                row.append(repr(float(panel.values[j, t] - panel.shift)) if panel.mask[j, t] else "")
+                row.append(repr(float(panel.values[j, t])) if panel.mask[j, t] else "")
             writer.writerow(row)
 
 

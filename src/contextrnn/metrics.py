@@ -18,7 +18,7 @@ import numpy as np
 from .data import DataError, SeriesPanel
 from .model import ModelParams, rolling_forecast
 
-__all__ = ["EvalReport", "rse", "corr", "corr_with_skips", "evaluate"]
+__all__ = ["EvalReport", "rse", "corr_with_skips", "evaluate"]
 
 
 def rse(predicted, actual) -> float:
@@ -64,10 +64,6 @@ def corr_with_skips(predicted, actual) -> tuple[float, int]:
     return float(np.mean(values)), skipped
 
 
-def corr(predicted, actual) -> float:
-    return corr_with_skips(predicted, actual)[0]
-
-
 @dataclass(frozen=True)
 class EvalReport:
     rse: float
@@ -101,7 +97,7 @@ def forecast_matrices(params: ModelParams, panel: SeriesPanel, emit_from: int):
     anchors whose window is observed for a series contribute to that
     series' row, so rows can differ in length; a row shorter than the
     longest is padded at its end with NaN windows. Evaluation runs in
-    original units.
+    the panel's own units, on the values its file holds.
     """
     cfg = params.config
     forecasts = rolling_forecast(params, panel, emit_from)
@@ -116,7 +112,7 @@ def forecast_matrices(params: ModelParams, panel: SeriesPanel, emit_from: int):
             if got is None or not panel.mask[sid, t : t + cfg.horizon].all():
                 continue
             pred.append(got[0])
-            act.append(panel.values[sid, t : t + cfg.horizon] - panel.shift)
+            act.append(panel.values[sid, t : t + cfg.horizon])
         if pred:
             pred_rows.append(pred)
             act_rows.append(act)

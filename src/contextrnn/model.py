@@ -342,8 +342,14 @@ class _Track:
     __slots__ = ("values", "mask", "es", "factors", "pending", "pos")
 
     def __init__(self, panel: SeriesPanel, ids, period: int, alpha_logit: Tensor, beta_logit: Tensor):
-        self.values = panel.values[ids]
+        with np.errstate(over="ignore"):  # the multiplicative decomposition needs positive, finite values
+            self.values = panel.values[ids] + panel.shift
         self.mask = panel.mask[ids]
+        bad = np.argwhere(self.mask & ~((self.values > 0.0) & np.isfinite(self.values)))
+        if bad.size:
+            sid, t = ids[bad[0, 0]], bad[0, 1]
+            raise DataError(f"series {sid} at step {t}: {float(panel.values[sid, t])!r} plus the positivity shift "
+                            f"{panel.shift!r} is not positive and finite")
         prefix = self.values[:, : 2 * period].copy()
         observed = self.mask[:, : 2 * period]
         empty = [int(ids[i]) for i in np.flatnonzero(~observed.any(axis=1))]

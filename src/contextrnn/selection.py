@@ -60,11 +60,13 @@ SELECTION_MODES = ("data_driven", "predefined")
 #: ridge jitter added to normal equations when a Granger regression is singular
 RIDGE = 1e-8
 
-#: a series whose largest magnitude lies beyond 2**±SCALE_EXPONENT is scaled to about 1 for Granger tests
+#: a series whose largest magnitude lies beyond 2**±SCALE_EXPONENT is scaled to about 1 for every estimator
 SCALE_EXPONENT = 100
 
 MIN_PAIR_OBS_CORR = 3
 MIN_PAIR_OBS_MI = 32
+#: a Granger test needs a joint run longer than RUN_CELLS_PER_LAG·maxlag cells
+RUN_CELLS_PER_LAG = 10
 
 #: continued-fraction steps after which an F-test p-value that has not converged raises
 FRACTION_STEPS = 1000
@@ -166,6 +168,19 @@ def _varies(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return varies & varies.T
 
 
+def _rescaled(least: np.ndarray, greatest: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """``arrays``, one row per series, each series whose magnitude passes 2**±SCALE_EXPONENT scaled to about 1.
+
+    ``least`` and ``greatest`` are each series' extreme observed values. The
+    scale is a power of two: it keeps squares, ranges and Grams finite and
+    changes no statistic. With no series to scale, ``arrays`` come back as
+    they are.
+    """
+    exponent = np.frexp(np.maximum(greatest, -least))[1]
+    exponent = np.where(np.abs(exponent) > SCALE_EXPONENT, -exponent, 0)[:, None]
+    return tuple(np.ldexp(a, exponent) for a in arrays) if exponent.any() else arrays
+
+
 def pearson_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix:
     """Pairwise-complete Pearson coefficients; a series constant on a pair's joint cells scores 0.
 
@@ -175,15 +190,17 @@ def pearson_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyM
     ``extremes`` and ``counts`` are the panel's ``_joint_extremes`` and ``_joint_counts``, computed if not given.
     """
     counts = _joint_counts(panel, MIN_PAIR_OBS_CORR, counts)
+    lo, hi = extremes or _joint_extremes(panel)
+    values, = _rescaled(lo.diagonal(), hi.diagonal(), panel.values)
     observed = panel.mask.astype(np.float64)
-    centred = np.where(panel.mask, panel.values, 0.0)
+    centred = np.where(panel.mask, values, 0.0)
     np.subtract(centred, (centred.sum(axis=1) / observed.sum(axis=1))[:, None], out=centred, where=panel.mask)
     sums = centred @ observed.T  # sums[i, j]: series i summed over the cells j observes too
     cov = centred @ centred.T - sums * sums.T / counts
     var = np.maximum(np.square(centred, out=centred) @ observed.T - sums * sums / counts, 0.0)
     denom = np.sqrt(var * var.T)
     weights = np.zeros((panel.n, panel.n))
-    varies = _varies(*(extremes or _joint_extremes(panel)))
+    varies = _varies(lo, hi)
     np.divide(cov, denom, out=weights, where=varies & (denom > 0.0))
     return AdjacencyMatrix(panel.n, weights, "CM")
 
@@ -299,6 +316,7 @@ def mi_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix
     counts = _joint_counts(panel, MIN_PAIR_OBS_MI, counts).astype(np.intp)
     lo, hi = extremes or _joint_extremes(panel)
     varies = _varies(lo, hi)
+    values, lo, hi = _rescaled(lo.diagonal(), hi.diagonal(), panel.values, lo, hi)
     bins = _bin_count(counts)
     own_lo, own_hi, own_bins = lo.diagonal(), hi.diagonal(), bins.diagonal()
     step = max(1, TILE_COUNTS // T)  # rows per block of binning or histograms, so a block's temporaries stay small
@@ -306,7 +324,7 @@ def mi_matrix(panel: SeriesPanel, extremes=None, counts=None) -> AdjacencyMatrix
     def binned(rows, lo, hi, bins):
         """``_bin_codes`` of series ``rows`` as uint8, one binning per row, a missed cell in bin 0."""
         blocks = [slice(s, s + step) for s in range(0, len(rows), step)]
-        return np.concatenate([_bin_codes(np.where(panel.mask[rows[at]], panel.values[rows[at]], lo[at, None]),
+        return np.concatenate([_bin_codes(np.where(panel.mask[rows[at]], values[rows[at]], lo[at, None]),
                                           lo[at], hi[at], bins[at]).astype(np.uint8) for at in blocks])
 
     codes = binned(np.arange(n), own_lo, own_hi, own_bins)
@@ -565,19 +583,16 @@ def granger_rank(
     with the target's rows. A target's augmented normal equations are
     solved as one stack; if one of them is singular, they are solved one
     by one, and the singular ones with a ridge jitter (``_least_squares``).
-    Each series is first scaled by a power of two that brings a magnitude
-    beyond 2**±SCALE_EXPONENT to about 1, which keeps the Grams finite and
-    changes no F statistic; ordinary series keep a scale of exactly 1. One
-    ``_f_survival`` call turns every F statistic into its p-value.
+    Each series is first scaled as ``_rescaled`` scales it, which keeps the
+    Grams finite and changes no F statistic. One ``_f_survival`` call turns
+    every F statistic into its p-value. A pair whose longest joint run holds
+    at most ``RUN_CELLS_PER_LAG * maxlag`` cells is a DataError.
     """
     if maxlag < 1:
         raise DataError(f"Granger tests need maxlag >= 1, got {maxlag}")
     n, T = panel.n, panel.T
-    largest = np.maximum(panel.values.max(axis=1, where=panel.mask, initial=0.0),
-                         -panel.values.min(axis=1, where=panel.mask, initial=0.0))
-    exponent = np.frexp(largest)[1]
-    shift = np.where(np.abs(exponent) > SCALE_EXPONENT, -exponent, 0)
-    values = np.ldexp(panel.values, shift[:, None]) if shift.any() else panel.values
+    values, = _rescaled(panel.values.min(axis=1, where=panel.mask, initial=0.0),
+                        panel.values.max(axis=1, where=panel.mask, initial=0.0), panel.values)
     full = panel.mask.all(axis=1)
     gapped = [(target, cand) for target, ids in candidates.items() for cand in ids if not (full[target] and full[cand])]
     runs = dict(zip(gapped, _longest_joint_runs(panel.mask, gapped)))  # the other pairs share all T cells
@@ -589,7 +604,7 @@ def granger_rank(
         normal = np.empty((len(cand_ids), k + maxlag, k + maxlag + 1))  # one [Gram | rhs] per candidate
         for cand, system in zip(cand_ids, normal):
             lo, hi = runs.get((target, cand), (0, T))
-            if hi - lo <= 10 * maxlag:
+            if hi - lo <= RUN_CELLS_PER_LAG * maxlag:
                 raise DataError(f"pair ({target}, {cand}): joint run {hi - lo} too short for maxlag={maxlag}")
             if (lo, hi) not in fits:
                 fits[lo, hi] = _own_lags(values[target, lo:hi], maxlag)

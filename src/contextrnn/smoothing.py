@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import tape as tp
+from .data import DataError
 from .tape import Tensor
 
 __all__ = [
-    "SmoothingError",
     "ESState",
     "es_init",
     "es_step",
@@ -29,10 +29,6 @@ __all__ = [
 
 #: slow-adapting prior: sigmoid(-2) ~ 0.119
 DEFAULT_LOGIT = -2.0
-
-
-class SmoothingError(Exception):
-    """Invalid smoothing input (non-positive value, ring size, short prefix)."""
 
 
 class ESState:
@@ -46,7 +42,7 @@ class ESState:
 
     def __init__(self, level, seasonal, alpha_logit, beta_logit, period):
         if len(seasonal) != period:
-            raise SmoothingError(f"ring holds {len(seasonal)} factors, period is {period}")
+            raise DataError(f"ring holds {len(seasonal)} factors, period is {period}")
         self.level = level
         self.seasonal = list(seasonal)
         self.alpha_logit = alpha_logit
@@ -67,9 +63,9 @@ def es_init(series_prefix, period: int, alpha_logit=DEFAULT_LOGIT, beta_logit=DE
     """
     values = np.asarray(series_prefix, dtype=np.float64)
     if values.shape[-1] < 2 * period:
-        raise SmoothingError(f"need {2 * period} values to initialize, got {values.shape[-1]}")
+        raise DataError(f"need {2 * period} values to initialize, got {values.shape[-1]}")
     if np.any(values <= 0.0):
-        raise SmoothingError("initialization values must be positive")
+        raise DataError("initialization values must be positive")
     level = values[..., :period].sum(axis=-1) / period
     raw = (values[..., :period] + values[..., period : 2 * period]) / 2.0 / level[..., None]
     norm = raw.sum(axis=-1) / period
@@ -87,7 +83,7 @@ def es_step(state: ESState, z_t, delta_alpha=0.0, delta_beta=0.0):
     """
     z = np.asarray(z_t, dtype=np.float64)
     if np.any(z <= 0.0):
-        raise SmoothingError(f"observations must be positive, got {z}")
+        raise DataError(f"observations must be positive, got {z}")
     alpha = tp.sigmoid(tp.add(state.alpha_logit, delta_alpha))
     beta = tp.sigmoid(tp.add(state.beta_logit, delta_beta))
     one_minus_alpha = tp.sub(1.0, alpha)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contextrnn.config import TrainConfig, load_config
 from contextrnn.data import (
@@ -47,9 +47,9 @@ class TestLoadPanel:
     def test_zero_value_triggers_shift(self):
         p = panel_from_text("0,0,2\n1,3,4\n")
         assert p.shift == pytest.approx(1.0 + 1e-6)
-        assert np.all(p.values[p.mask] >= 1e-6)
-        # raw values recoverable
-        assert p.values[0, 0] - p.shift == pytest.approx(0.0)
+        # the panel keeps the values as read; the shift makes them positive for the model
+        np.testing.assert_array_equal(p.values, [[0.0, 3.0], [2.0, 4.0]])
+        assert np.all(p.values[p.mask] + p.shift >= 1e-6)
 
     def test_iso_timestamps(self):
         p = panel_from_text("2015-06-01T00:00,1\n2015-06-01T01:00,2\n")
@@ -149,14 +149,10 @@ def panel_texts(draw, values):
     return "".join(",".join([stamp] + [draw(cell) for _ in range(n)]) + "\n" for stamp in stamps)
 
 
-def assert_same_panel(again, panel, atol=0.0):
+def assert_same_panel(again, panel):
     assert again.timestamps == panel.timestamps and again.frequency == panel.frequency
     np.testing.assert_array_equal(again.mask, panel.mask)
-    if atol:
-        np.testing.assert_allclose(again.values, panel.values, rtol=0, atol=atol)
-        assert abs(again.shift - panel.shift) <= atol
-    else:
-        assert again.values.tobytes() == panel.values.tobytes() and again.shift == panel.shift
+    assert again.values.tobytes() == panel.values.tobytes() and again.shift == panel.shift
 
 
 @settings(max_examples=200, deadline=None)
@@ -169,12 +165,11 @@ def test_round_trip_of_a_gapped_panel_is_bit_exact(text):
 
 @settings(max_examples=200, deadline=None)
 @given(panel_texts(st.floats(min_value=-1e6, max_value=1e6)))
-def test_round_trip_of_a_shifted_panel_is_within_ulps_of_the_shift(text):
-    # the file holds values - shift, rounded, and the reload derives the shift
-    # from the least of them again: a shifted panel can come back some ulps off
+@example("0,0.008972988942744878\n1,-0.003763370959790291\n")  # came back an ulp off while files held values - shift
+def test_round_trip_of_a_shifted_panel_is_bit_exact(text):
+    # the panel and its file hold the same values, so the reload derives the same shift
     panel = load_panel(io.StringIO(text))
-    scale = max(panel.shift, float(panel.values.max()))
-    assert_same_panel(round_trip(panel), panel, atol=4 * np.spacing(scale) if panel.shift else 0.0)
+    assert_same_panel(round_trip(panel), panel)
 
 
 def assert_equal(a, b):

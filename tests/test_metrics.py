@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from contextrnn.data import DataError
-from contextrnn.metrics import EvalReport, corr, corr_with_skips, rse
+from contextrnn.metrics import EvalReport, corr_with_skips, rse
 
 
 def brute_force_rse(predicted, actual):
@@ -59,15 +59,15 @@ class TestRSE:
 class TestCorr:
     def test_perfect_forecast(self):
         actual = np.random.default_rng(4).normal(size=(3, 9))
-        assert corr(actual.copy(), actual) == pytest.approx(1.0)
+        assert corr_with_skips(actual.copy(), actual)[0] == pytest.approx(1.0)
 
     def test_negated_forecast(self):
         actual = np.random.default_rng(5).normal(size=(3, 9))
-        assert corr(-actual + 2.0, actual) == pytest.approx(-1.0)
+        assert corr_with_skips(-actual + 2.0, actual)[0] == pytest.approx(-1.0)
 
     def test_affine_invariance(self):
         actual = np.random.default_rng(6).normal(size=(3, 9))
-        assert corr(3.5 * actual + 1.0, actual) == pytest.approx(1.0)
+        assert corr_with_skips(3.5 * actual + 1.0, actual)[0] == pytest.approx(1.0)
 
     def test_constant_series_skipped_and_counted(self):
         actual = np.vstack([np.ones(6), np.arange(6.0)])
@@ -77,14 +77,14 @@ class TestCorr:
 
     def test_all_constant_rejected(self):
         with pytest.raises(DataError, match="constant"):
-            corr(np.ones((2, 4)), np.ones((2, 4)))
+            corr_with_skips(np.ones((2, 4)), np.ones((2, 4)))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             actual = rng.normal(size=(5, 20))
             predicted = actual * rng.uniform(0.5, 2.0) + rng.normal(scale=0.5, size=(5, 20))
-            assert corr(predicted, actual) == pytest.approx(brute_force_corr(predicted, actual), abs=1e-12)
+            assert corr_with_skips(predicted, actual)[0] == pytest.approx(brute_force_corr(predicted, actual), abs=1e-12)
 
 
     def test_rows_of_different_lengths(self):
@@ -92,15 +92,15 @@ class TestCorr:
         actual = [rng.normal(size=5), rng.normal(size=9)]
         predicted = [a + rng.normal(scale=0.5, size=a.size) for a in actual]
         want = np.mean([brute_force_corr(p[None], a[None]) for p, a in zip(predicted, actual)])
-        assert corr(predicted, actual) == pytest.approx(want, abs=1e-12)
+        assert corr_with_skips(predicted, actual)[0] == pytest.approx(want, abs=1e-12)
 
     def test_rows_must_pair_up(self):
         with pytest.raises(DataError):
-            corr([np.arange(4.0)], [np.arange(4.0), np.arange(4.0)])
+            corr_with_skips([np.arange(4.0)], [np.arange(4.0), np.arange(4.0)])
         with pytest.raises(DataError):
-            corr([np.arange(4.0)], [np.arange(5.0)])
+            corr_with_skips([np.arange(4.0)], [np.arange(5.0)])
         with pytest.raises(DataError):
-            corr(np.arange(4.0), np.arange(4.0))
+            corr_with_skips(np.arange(4.0), np.arange(4.0))
 
 
 class TestEvalReport:

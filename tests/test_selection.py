@@ -1023,6 +1023,30 @@ class TestGrangerNearOverflow:
         np.testing.assert_allclose(p[tested], p_scaled[tested], rtol=1e-12, atol=0.0)
 
 
+class TestScaledSeries:
+    """Pearson and MI scale a series beyond 2**±SCALE_EXPONENT by a power of two, as Granger does."""
+
+    def pair_panel(self, scale=1.0):
+        rng = np.random.default_rng(0)
+        x = rng.normal(0.0, 30.0, 500)
+        values = np.stack([x, 2.0 * x + rng.normal(0.0, 0.5, 500), rng.normal(0.0, 30.0, 500)])
+        values[1] *= scale
+        return make_panel(values)
+
+    def test_pearson_of_a_series_scaled_by_1e150(self):
+        # the centred squares of the scaled series overflowed, and the pair scored 0
+        want = pearson_matrix(self.pair_panel()).weights
+        assert want[0, 1] > 0.9999
+        np.testing.assert_allclose(pearson_matrix(self.pair_panel(1e150)).weights, want, rtol=1e-12, atol=0.0)
+
+    def test_mi_of_a_series_spanning_the_float_range(self):
+        # the range of series 2 overflowed to inf, and binning raised IndexError
+        values = self.pair_panel().values.copy()
+        values[2, 5], values[2, 9] = -1.5e308, 1.5e308
+        scaled = np.ldexp(values, np.array([[0], [0], [-1024]]))
+        assert mi_matrix(make_panel(values)).weights.tobytes() == mi_matrix(make_panel(scaled)).weights.tobytes()
+
+
 class TestBuildContextMap:
     def star_panel(self, seed=0, n=6, T=600):
         edges = tuple((0, j) for j in range(1, n))

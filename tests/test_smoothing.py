@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from contextrnn import tape as tp
+from contextrnn.data import DataError
 from contextrnn.smoothing import (
     ESState,
-    SmoothingError,
     es_init,
     es_skip,
     es_step,
@@ -32,9 +32,9 @@ class TestInit:
         assert state.seasonal[0].item() == pytest.approx(1.0)
 
     def test_errors(self):
-        with pytest.raises(SmoothingError, match="initialize"):
+        with pytest.raises(DataError, match="initialize"):
             es_init([1.0, 2.0, 3.0], period=2)
-        with pytest.raises(SmoothingError, match="positive"):
+        with pytest.raises(DataError, match="positive"):
             es_init([1.0, -2.0, 3.0, 4.0], period=2)
 
 
@@ -60,7 +60,7 @@ class TestStep:
 
     def test_rejects_nonpositive(self):
         state = es_init([8.0] * 4, period=2)
-        with pytest.raises(SmoothingError):
+        with pytest.raises(DataError):
             es_step(state, 0.0)
 
     def test_level_is_convex_combination(self):
@@ -94,7 +94,7 @@ class TestRing:
         # the ring covers exactly the phases 0 .. p-1
         state = es_init([5.0] * 4, period=2)
         assert len(state.seasonal) == 2
-        with pytest.raises(SmoothingError, match="ring holds"):
+        with pytest.raises(DataError, match="ring holds"):
             ESState(state.level, state.seasonal + [Tensor(1.0)], state.alpha_logit, state.beta_logit, 2)
 
     def test_skip_rotates_without_update(self):
