@@ -9,7 +9,6 @@ context contribution plus smoothing corrections.
 import numpy as np
 
 from contextrnn.context_track import (
-    ConvStackParams,
     assemble_context,
     context_conv_forward,
     fft_features,
@@ -33,7 +32,7 @@ print("sum |X|^2 =", round(float((mag**2).sum()), 3), " W*sum x^2 =", round(W * 
 
 # the conv stack maps a stack to u context values + two smoothing corrections
 rng = np.random.default_rng(0)
-params = ConvStackParams(**{k: Tensor(v) for k, v in init_conv_arrays(rng, W, u=2).items()})
+params = {k: Tensor(v) for k, v in init_conv_arrays(rng, W, u=2).items()}
 r, d_alpha, d_beta = context_conv_forward(stack, params)
 print("context r      ->", np.round(r.values, 4))
 print("corrections    ->", round(d_alpha.values[0], 4), round(d_beta.values[0], 4))

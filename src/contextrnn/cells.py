@@ -24,13 +24,11 @@ from .tape import Tensor
 __all__ = [
     "DRNNCellParams",
     "CellState",
-    "LayerState",
     "drnn_cell_forward",
     "wdrnn_cell_forward",
     "stack_step",
     "new_stack_states",
     "blend_rows",
-    "embed_calendar",
     "init_cell_arrays",
     "CELL_FIELDS",
 ]
@@ -190,20 +188,6 @@ def wdrnn_cell_forward(x, bottom_state, top_state, bottom_params, top_params, ad
     return y
 
 
-class LayerState:
-    """States of one weighted cell (bottom + top) at one dilation."""
-
-    __slots__ = ("bottom", "top")
-
-    def __init__(self, dilation: int, bottom_params: DRNNCellParams, top_params: DRNNCellParams):
-        self.bottom = CellState(dilation, bottom_params.s_h, bottom_params.out_width)
-        self.top = CellState(dilation, top_params.out_width, top_params.out_width)
-
-    def detach(self):
-        self.bottom.detach()
-        self.top.detach()
-
-
 def stack_step(x: Tensor, states, layer_params, advance=None) -> Tensor:
     """Advance every layer one step; identity residuals from layer 2 upward.
 
@@ -211,24 +195,17 @@ def stack_step(x: Tensor, states, layer_params, advance=None) -> Tensor:
     other rows' outputs are computed but their states are held.
     """
     out = x
-    for i, (bottom, top) in enumerate(layer_params):
-        y = wdrnn_cell_forward(out, states[i].bottom, states[i].top, bottom, top, advance)
+    for i, ((bottom, top), (bottom_state, top_state)) in enumerate(zip(layer_params, states)):
+        y = wdrnn_cell_forward(out, bottom_state, top_state, bottom, top, advance)
         out = y if i == 0 else tp.add(y, out)
     return out
 
 
 def new_stack_states(layer_params, dilations):
+    """One (bottom, top) pair of fresh cell states per layer."""
     if len(layer_params) != len(dilations):
         raise ValueError("one dilation per layer required")
-    return [LayerState(d, bottom, top) for d, (bottom, top) in zip(dilations, layer_params)]
-
-
-def embed_calendar(onehot, embedding: Tensor) -> Tensor:
-    """Project 74-dim calendar one-hot blocks (one, or one row each) through a 74×8 embedding."""
-    onehot = onehot if isinstance(onehot, Tensor) else Tensor(onehot)
-    if onehot.values.ndim > 2 or onehot.values.shape[-1] != embedding.values.shape[0]:
-        raise ValueError("calendar block width does not match the embedding")
-    marks = onehot.values.sum(axis=-1)
-    if np.any(marks != 4.0) or not set(np.unique(onehot.values)) <= {0.0, 1.0}:
-        raise ValueError("calendar block must be four concatenated one-hot groups")
-    return tp.matmul(onehot, embedding)
+    return [
+        (CellState(d, bottom.s_h, bottom.out_width), CellState(d, top.out_width, top.out_width))
+        for d, (bottom, top) in zip(dilations, layer_params)
+    ]

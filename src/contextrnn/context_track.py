@@ -20,13 +20,11 @@ from . import tape as tp
 from .tape import Tensor
 
 __all__ = [
-    "ConvStackParams",
     "fft_features",
     "context_conv_forward",
     "assemble_context",
     "modulate",
     "init_conv_arrays",
-    "CONV_FIELDS",
 ]
 
 STACK_CHANNELS = 5
@@ -63,31 +61,14 @@ def fft_features(x_in: Tensor) -> Tensor:
     return tp.concat(rows, axis=0)
 
 
-class ConvStackParams:
-    """Weights of the two conv blocks plus the final linear reduction.
-
-    Shapes (c = hidden channel count, default 8; k = kernel width; W = window):
-    dw1 (5, k), pw1 (c, 5), pw1_b (c, 1), proj1 (c, 5),
-    dw2 (c, k), pw2 (c, c), pw2_b (c, 1), proj2 (c, c),
-    red_w (u + 2, c*W), red_b (u + 2,).
-    """
-
-    __slots__ = ("dw1", "pw1", "pw1_b", "proj1", "dw2", "pw2", "pw2_b", "proj2", "red_w", "red_b")
-
-    def __init__(self, **tensors):
-        for name in self.__slots__:
-            setattr(self, name, tensors[name])
-
-    @property
-    def context_size(self) -> int:
-        return self.red_w.values.shape[0] - 2
-
-
-CONV_FIELDS = ConvStackParams.__slots__
-
-
 def init_conv_arrays(rng, window: int, u: int, channels: int = 8, kernel: int = 3) -> dict:
-    """Fresh conv-stack arrays: uniform ±1/sqrt(fan_in) weights, zero biases."""
+    """Fresh weights of the two conv blocks and the final linear reduction, by name.
+
+    Weights are uniform ±1/sqrt(fan_in), biases zero. Shapes (c = ``channels``,
+    k = ``kernel``, W = ``window``): dw1 (5, k), pw1 (c, 5), pw1_b (c, 1),
+    proj1 (c, 5), dw2 (c, k), pw2 (c, c), pw2_b (c, 1), proj2 (c, c),
+    red_w (u + 2, c·W), red_b (u + 2,).
+    """
     def uniform(shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, shape)
@@ -112,16 +93,19 @@ def _block(stack: Tensor, dw: Tensor, pw: Tensor, bias: Tensor, proj: Tensor) ->
     return tp.add(tp.relu(mixed), tp.conv1d_pointwise(proj, stack))
 
 
-def context_conv_forward(stack: Tensor, params: ConvStackParams):
-    """(u context values, delta_alpha, delta_beta) for one context series."""
+def context_conv_forward(stack: Tensor, params: dict):
+    """(u context values, delta_alpha, delta_beta) for one context series.
+
+    ``params`` holds tensors keyed and shaped as :func:`init_conv_arrays` returns them.
+    """
     channels, width = stack.values.shape
     if channels != STACK_CHANNELS:
         raise ValueError(f"expected a {STACK_CHANNELS}-channel stack, got {channels}")
-    block1 = _block(stack, params.dw1, params.pw1, params.pw1_b, params.proj1)
-    block2 = _block(block1, params.dw2, params.pw2, params.pw2_b, params.proj2)
+    block1 = _block(stack, params["dw1"], params["pw1"], params["pw1_b"], params["proj1"])
+    block2 = _block(block1, params["dw2"], params["pw2"], params["pw2_b"], params["proj2"])
     flat = tp.reshape(block2, (block2.values.size,))
-    out = tp.add(tp.matmul(params.red_w, flat), params.red_b)
-    u = params.context_size
+    out = tp.add(tp.matmul(params["red_w"], flat), params["red_b"])
+    u = out.values.shape[0] - 2
     r = tp.slice_(out, 0, u)
     dalpha = tp.slice_(out, u, u + 1)
     dbeta = tp.slice_(out, u + 1, u + 2)

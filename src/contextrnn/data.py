@@ -245,9 +245,12 @@ def _read_panel(reader) -> SeriesPanel:
     values = np.stack(rows, axis=1)
     mask = ~np.isnan(values)
     values[~mask] = 0.0
-    least = values.min(where=mask, initial=math.inf)
-    shift = 1.0 - float(least) + SHIFT_EPS if least <= 0.0 else 0.0
-    return SeriesPanel(values, timestamps, mask, freq, shift)
+    return SeriesPanel(values, timestamps, mask, freq, _positivity_shift(values.min(where=mask, initial=math.inf)))
+
+
+def _positivity_shift(least) -> float:
+    """``1 - least + SHIFT_EPS`` for a panel whose least value ``least`` is not positive, else 0."""
+    return 1.0 - float(least) + SHIFT_EPS if least <= 0.0 else 0.0
 
 
 def split(panel: SeriesPanel):
@@ -300,7 +303,12 @@ def calendar_features(timestamp: dt.datetime) -> np.ndarray:
 
 
 def synth_generate(spec: SynthSpec, seed: int) -> SeriesPanel:
-    """Deterministic coupled panel: sinusoid-mixture drivers, lagged driven series."""
+    """Deterministic coupled panel: sinusoid-mixture drivers, lagged driven series.
+
+    The panel holds the generator's values, and the positivity shift that
+    :func:`load_panel` records for them (a negative coupling can take a
+    driven series below zero).
+    """
     if seed < 0:
         raise DataError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -334,14 +342,11 @@ def synth_generate(spec: SynthSpec, seed: int) -> SeriesPanel:
                 values[i] = weight * shifted + own
             else:
                 values[i] = base[i, pad:]
-
-        low = values.min()
-        if low <= 0.0:
-            values = values + (1.0 - low + SHIFT_EPS)
     if not np.isfinite(values).all():
         raise DataError("synthetic panel overflows float64: lower the coupling or the noise")
     timestamps = tuple(INDEX_EPOCH + dt.timedelta(hours=t) for t in range(T))
-    return SeriesPanel(values, timestamps, np.ones((n, T), dtype=bool), dt.timedelta(hours=1))
+    return SeriesPanel(values, timestamps, np.ones((n, T), dtype=bool), dt.timedelta(hours=1),
+                       _positivity_shift(values.min()))
 
 
 def write_panel_csv(panel: SeriesPanel, path):

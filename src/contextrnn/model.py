@@ -28,15 +28,12 @@ from .cells import (
     GATE_NAMES,
     DRNNCellParams,
     blend_rows,
-    embed_calendar,
     init_cell_arrays,
     new_stack_states,
     stack_step,
 )
 from .config import FIELD_TYPES, TrainConfig
 from .context_track import (
-    CONV_FIELDS,
-    ConvStackParams,
     assemble_context,
     context_conv_forward,
     fft_features,
@@ -195,13 +192,9 @@ class ModelParams:
         return ModelParams(self.config, self.n_series, self.global_batch, {k: a.copy() for k, a in self.arrays.items()})
 
 
-def _layer_widths(config: TrainConfig):
-    """(input width, controlling width) per layer; layer 0 reads the assembled input."""
-    widths = []
-    for i, _ in enumerate(config.dilations):
-        in_w = input_width(config) if i == 0 else config.hidden_width
-        widths.append(in_w)
-    return widths
+def _layer_widths(config: TrainConfig) -> list:
+    """Input width per layer: layer 0 reads the assembled input, each layer above the one below's output."""
+    return [input_width(config)] + [config.hidden_width] * (len(config.dilations) - 1)
 
 
 def init_model(config: TrainConfig, n_series: int, context_map: ContextMap | None) -> ModelParams:
@@ -318,11 +311,7 @@ class _Views:
         self.head_b = self.leafs["head_b"]
         self.conv = None
         if cfg.context_mode != "none":
-            self.conv = ConvStackParams(**{f: self.leafs[f"conv.{f}"] for f in CONV_FIELDS})
-
-    def rows(self, table: str, ids) -> Tensor:
-        """The rows of a per-series table that belong to the series ``ids``, in order."""
-        return tp.gather(self.leafs[table], ids)
+            self.conv = {name.removeprefix("conv."): t for name, t in self.leafs.items() if name.startswith("conv.")}
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +399,12 @@ class _Sweep:
         """Enter a new tape segment; carried state becomes constant."""
         first = self.views is None
         self.views = views
-        main_logits = (views.rows("main_alpha_logit", self.main_ids), views.rows("main_beta_logit", self.main_ids))
+        leafs = views.leafs
+        main_logits = tuple(tp.gather(leafs[f"main_{kind}_logit"], self.main_ids) for kind in ("alpha", "beta"))
         ctx_logits = ()
         if self.ctx_ids.size:
-            ctx_logits = (views.leafs["ctx_alpha_logit"], views.leafs["ctx_beta_logit"])
-            self.gains = views.rows("modulation", self.main_ids)
+            ctx_logits = (leafs["ctx_alpha_logit"], leafs["ctx_beta_logit"])
+            self.gains = tp.gather(leafs["modulation"], self.main_ids)
         if first:
             self.main = _Track(self.panel, self.main_ids, self.cfg.period, *main_logits)
             if self.ctx_ids.size:
@@ -424,8 +414,9 @@ class _Sweep:
         self.main.relink(*main_logits)
         if self.ctx is not None:
             self.ctx.relink(*ctx_logits)
-        for layer in self.stack_states:
-            layer.detach()
+        for bottom, top in self.stack_states:
+            bottom.detach()
+            top.detach()
 
     def _advance(self, track: _Track, upto: int):
         da, db = track.pending if track.pending is not None else (0.0, 0.0)
@@ -508,7 +499,7 @@ class _Sweep:
         if skipped == batch:
             return None
         onehot = np.tile(calendar_features(self.panel.timestamps[t - 1]), (batch, 1))
-        calendar = embed_calendar(onehot, views.embedding)
+        calendar = tp.matmul(onehot, views.embedding)
         seasonal = tp.concat([tp.reshape(f, (batch, 1)) for f in main.es.seasonal], axis=1)
         context = None if shared_context is None else modulate(shared_context, self.gains)
         x_full = assemble_input(x_in, seasonal, z_bar, calendar, context)

@@ -14,7 +14,6 @@ import pytest
 from contextrnn import tape as tp
 from contextrnn.config import TrainConfig
 from contextrnn.context_track import (
-    ConvStackParams,
     context_conv_forward,
     fft_features,
     init_conv_arrays,
@@ -166,7 +165,7 @@ def test_criterion_gradient_suite():
     window = rng.normal(size=6)
 
     def conv_fn(params):
-        conv = ConvStackParams(**dict(zip(conv_names, params)))
+        conv = dict(zip(conv_names, params))
         r, da, db = context_conv_forward(fft_features(Tensor(window)), conv)
         return tp.mean(tp.concat([r, da, db]))
 

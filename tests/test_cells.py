@@ -1,3 +1,4 @@
+import datetime as dt
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from contextrnn.cells import (
     CellState,
     DRNNCellParams,
     drnn_cell_forward,
-    embed_calendar,
     init_cell_arrays,
     new_stack_states,
     stack_step,
@@ -252,28 +252,23 @@ class TestStack:
 
 
 class TestCalendarEmbedding:
+    """The sweep embeds a calendar block as ``tp.matmul(calendar_features(stamp), embedding)``."""
+
     def test_zero_matrix(self):
-        onehot = calendar_features(np.datetime64("2015-06-01T00:00").astype("datetime64[s]").item())
-        out = embed_calendar(onehot, Tensor(np.zeros((74, 8))))
+        onehot = calendar_features(dt.datetime(2015, 6, 1, 0, 0))
+        out = tp.matmul(onehot, Tensor(np.zeros((74, 8))))
         np.testing.assert_array_equal(out.values, 0.0)
 
     def test_row_sum_indices(self):
         rng = np.random.default_rng(12)
         matrix = rng.normal(size=(74, 8))
-        onehot = np.zeros(74)
-        onehot[[0, 24, 31, 62]] = 1.0  # groups (0, 0, 0, 0)
-        out = embed_calendar(onehot, Tensor(matrix))
+        onehot = calendar_features(dt.datetime(2018, 1, 1, 0))  # a Monday: groups (0, 0, 0, 0)
+        out = tp.matmul(onehot, Tensor(matrix))
         np.testing.assert_allclose(out.values, matrix[0] + matrix[24] + matrix[31] + matrix[62])
 
     def test_hour_difference_is_row_difference(self):
-        import datetime as dt
-
         rng = np.random.default_rng(13)
         matrix = rng.normal(size=(74, 8))
-        a = embed_calendar(calendar_features(dt.datetime(2021, 3, 5, 7)), Tensor(matrix))
-        b = embed_calendar(calendar_features(dt.datetime(2021, 3, 5, 9)), Tensor(matrix))
+        a = tp.matmul(calendar_features(dt.datetime(2021, 3, 5, 7)), Tensor(matrix))
+        b = tp.matmul(calendar_features(dt.datetime(2021, 3, 5, 9)), Tensor(matrix))
         np.testing.assert_allclose(a.values - b.values, matrix[7] - matrix[9], atol=1e-12)
-
-    def test_malformed_onehot(self):
-        with pytest.raises(ValueError, match="one-hot"):
-            embed_calendar(np.ones(74), Tensor(np.zeros((74, 8))))

@@ -5,7 +5,6 @@ import pytest
 
 from contextrnn import tape as tp
 from contextrnn.context_track import (
-    ConvStackParams,
     assemble_context,
     context_conv_forward,
     fft_features,
@@ -79,7 +78,7 @@ class TestFFTFeatures:
 
 
 def conv_params_from(arrays):
-    return ConvStackParams(**{k: Tensor(v) for k, v in arrays.items()})
+    return {k: Tensor(v) for k, v in arrays.items()}
 
 
 class TestContextConv:
@@ -127,7 +126,7 @@ class TestContextConv:
         x = rng.normal(size=W)
 
         def f(params):
-            conv = ConvStackParams(**dict(zip(names, params)))
+            conv = dict(zip(names, params))
             r, da, db = context_conv_forward(fft_features(Tensor(x)), conv)
             return tp.mean(tp.concat([r, da, db]))
 

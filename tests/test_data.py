@@ -338,16 +338,31 @@ class TestCalendar:
 
 class TestSynth:
     def test_zero_noise_exact_coupling(self):
-        spec = SynthSpec(n=3, T=60, edges=((0, 1), (0, 2)), coupling=1.0, lag=1, noise_sigma=0.0, seasonal_period=8)
-        coupled = synth_generate(spec, seed=9)
         solo = synth_generate(
-            SynthSpec(n=3, T=60, edges=spec.edges, coupling=0.0, lag=1, noise_sigma=0.0, seasonal_period=8),
+            SynthSpec(n=3, T=60, edges=((0, 1), (0, 2)), coupling=0.0, lag=1, noise_sigma=0.0, seasonal_period=8),
             seed=9,
         )
-        for driven in (1, 2):
-            got = coupled.values[driven, 1:]
-            expected = solo.values[0, :-1] + solo.values[driven, 1:]
-            np.testing.assert_allclose(got, expected, atol=1e-12)
+        # -1.0 takes the driven series below zero: the panel keeps the generator's values and records a shift
+        for coupling in (1.0, -1.0):
+            coupled = synth_generate(
+                SynthSpec(n=3, T=60, edges=((0, 1), (0, 2)), coupling=coupling, lag=1, noise_sigma=0.0, seasonal_period=8),
+                seed=9,
+            )
+            for driven in (1, 2):
+                got = coupled.values[driven, 1:]
+                expected = coupling * solo.values[0, :-1] + solo.values[driven, 1:]
+                np.testing.assert_allclose(got, expected, atol=1e-12)
+            least = coupled.values.min()
+            assert (least <= 0.0) == (coupling < 0.0)
+            assert coupled.shift == (1.0 - least + 1e-6 if least <= 0.0 else 0.0)
+
+    def test_negative_coupling_round_trips_through_a_file(self, tmp_path):
+        spec = SynthSpec(n=3, T=60, edges=((0, 1), (0, 2)), coupling=-1.5, lag=1, noise_sigma=0.4, seasonal_period=8)
+        panel = synth_generate(spec, seed=2)
+        assert panel.values.min() < 0.0 < panel.shift
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, str(path))
+        assert_same_panel(load_panel(str(path)), panel)
 
     def test_same_seed_identical(self):
         spec = SynthSpec(n=4, T=50, edges=((0, 3),), seasonal_period=6)

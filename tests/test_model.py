@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -382,6 +383,75 @@ class TestTraining:
         solo_params = load_model(str(solo))
         for k in solo_params.arrays:
             np.testing.assert_array_equal(members[0].arrays[k], solo_params.arrays[k])
+
+
+class TestTapeNodePins:
+    """Tape nodes by op of one training update: the linear-cost claim as counts that cannot flake.
+
+    The model is the acceptance suite's tiny one (W=8, fh=2, p=4, dilations
+    1 and 2, stride 1), trained for one epoch on a panel holding exactly A
+    anchors, so each batch is one update of A anchors. For every op,
+
+        nodes(op) = BASE[op] + A * (PER_ANCHOR[op] + K * PER_ANCHOR_AND_SERIES[op])
+
+    linear in the anchors and in the K context series, and independent of the
+    series count n and of the batch size: a batch runs as one set of ops,
+    whatever its rows. BASE holds the leaves and what an update records once:
+    the weight transposes, the per-series gathers, the smoothing warm-up up
+    to the first anchor, and the loss over every anchor's terms.
+    """
+
+    BASE = {"add": 61, "concat": 3, "div": 14, "gather": 3, "leaf": 34, "mean": 1, "mul_elementwise": 63,
+            "relu": 6, "reshape": 6, "sigmoid": 28, "sub": 30, "transpose": 13}
+    PER_ANCHOR = {"add": 30, "clip": 3, "concat": 8, "div": 2, "exp": 5, "log": 2, "matmul": 14,
+                  "mul_elementwise": 30, "reshape": 10, "sigmoid": 8, "slice": 30, "sub": 14, "tanh": 4}
+    PER_ANCHOR_AND_SERIES = {"add": 5, "atan2": 1, "concat": 1, "conv1d_depthwise": 2, "conv1d_pointwise": 4,
+                             "hypot": 1, "matmul": 3, "relu": 2, "reshape": 7, "slice": 4}
+
+    @staticmethod
+    def updates(monkeypatch, n, K, batch, anchors):
+        """The tape's nodes by op, once per update of a one-epoch run."""
+        cfg = TrainConfig(
+            epochs=1, batch_schedule={1: batch}, lr_schedule={1: 1e-3},
+            window=8, horizon=2, period=4, dilations=(1, 2),
+            context_size=2, context_batch=K, state_width=8, hidden_width=8,
+            conv_channels=4, stride=1, steps_per_update=anchors, seed=0,
+        )
+        T = cfg.first_anchor + cfg.horizon - 1 + anchors
+        panel = synth_generate(
+            SynthSpec(n=n, T=T, edges=((0, 1),), coupling=1.0, lag=1, noise_sigma=0.3, seasonal_period=4), seed=5
+        )
+        cmap = ContextMap({i: ((i + 1) % n,) for i in range(n)}, tuple(range(K)), S=1, K=K)
+        counts = []
+        real_backward = model.backward
+
+        def counting(loss):
+            counts.append(Counter(node.op for node in loss.tape.nodes))
+            return real_backward(loss)
+
+        monkeypatch.setattr(model, "backward", counting)
+        train(panel, cmap, cfg)
+        return counts
+
+    @pytest.mark.parametrize("n, K, batch, anchors", [
+        (2, 2, 2, 5),
+        (4, 2, 2, 5),  # n
+        (2, 1, 2, 5),  # K
+        (2, 2, 1, 5),  # batch
+        (2, 2, 2, 10),  # anchors
+        (4, 1, 2, 10),
+        (2, 1, 1, 10),
+    ])
+    def test_nodes_per_update(self, monkeypatch, n, K, batch, anchors):
+        expected = Counter(self.BASE)
+        for op, count in self.PER_ANCHOR.items():
+            expected[op] += anchors * count
+        for op, count in self.PER_ANCHOR_AND_SERIES.items():
+            expected[op] += anchors * K * count
+        counts = self.updates(monkeypatch, n, K, batch, anchors)
+        assert len(counts) == -(-n // batch)
+        for got in counts:
+            assert dict(got) == dict(expected)
 
 
 class TestPrediction:
